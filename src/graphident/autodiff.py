@@ -313,6 +313,21 @@ def reshape(a: Var, shape: tuple[int, ...]) -> Var:
                         lambda g: (g.reshape(old),))
 
 
+def degree(w: Var, op) -> Var:
+    """Node degrees ``S w`` of an edge-weight vector, with S in the index
+    form of ``op`` (a ``graphcore.DegreeOperator``).  The VJP is
+    ``S' g = op.pair_sum(g)``, O(n^2) like the forward pass."""
+    return w.tape._push(op.degree(w.value), (w.index,),
+                        lambda g: (op.pair_sum(g),))
+
+
+def pair_sum(lam: Var, op) -> Var:
+    """Per-edge sums ``S' lam`` of a node vector, the adjoint of ``degree``;
+    its VJP is ``S g = op.degree(g)``."""
+    return lam.tape._push(op.pair_sum(lam.value), (lam.index,),
+                          lambda g: (op.degree(g),))
+
+
 def pairwise_sqdist(a: Var) -> Var:
     """Squared Euclidean distances between the rows of a 2D array.
 

@@ -82,8 +82,36 @@ def devectorize(w: np.ndarray, n: int | None = None) -> np.ndarray:
     return W + W.T
 
 
+class DegreeOperator:
+    """The degree map S and its adjoint over the edges of ``n`` nodes, in
+    index form.
+
+    ``degree(w)`` equals ``build_sum_operator(n) @ w``: each edge adds its
+    weight to both of its end nodes.  ``pair_sum(lam)`` equals
+    ``build_sum_operator(n).T @ lam``: each edge reads the sum of its end
+    nodes' values.  Both cost O(n*(n-1)/2); the dense S holds n times as
+    many entries.
+    """
+
+    def __init__(self, n: int):
+        if n < 2:
+            raise DimensionError(f"need at least 2 nodes, got n={n}")
+        self.n = n
+        self.rows, self.cols = edge_pairs(n).T.copy()
+
+    def degree(self, w: np.ndarray) -> np.ndarray:
+        return (np.bincount(self.rows, w, self.n)
+                + np.bincount(self.cols, w, self.n))
+
+    def pair_sum(self, lam: np.ndarray) -> np.ndarray:
+        return lam[self.rows] + lam[self.cols]
+
+
 def build_sum_operator(n: int) -> np.ndarray:
-    """0/1 matrix S of shape (n, n*(n-1)/2) mapping edge weights to node degrees.
+    """Dense 0/1 matrix S of shape (n, n*(n-1)/2) mapping edge weights to
+    node degrees: the reference form of ``DegreeOperator``, which the solver
+    and training use.  ``reference_solve`` multiplies by it, so the oracle
+    shares no degree code with the dual iteration.
 
     Satisfies ``S @ half_vectorize(W) == W @ ones(n)`` for every valid W.
     """

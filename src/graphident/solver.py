@@ -7,13 +7,16 @@ trajectories, the solver minimizes
 
 over edge weights ``w``, where ``S`` maps edge weights to node degrees.
 The log barrier keeps every node connected and the quadratic term shrinks
-weights toward zero.  The dual iteration uses a fixed step 1/L with
-L = (n-1)/beta and Nesterov-style momentum; each dual step has a closed
-form, which is what makes the iteration unrollable and differentiable.
+weights toward zero.  The dual iteration is the fast dual proximal
+gradient method of Saboksayr & Mateos (IEEE SPL 2021): a fixed step 1/L
+with L = (n-1)/beta and Nesterov-style momentum.  Each dual step has a
+closed form, which is what makes the iteration unrollable and
+differentiable, and needs S only through ``S w`` and ``S' lambda``.  Both
+run in index form (``graphcore.DegreeOperator``), O(n^2) per iteration.
 
 ``reference_solve`` is a deliberately independent check: projected gradient
 descent with Armijo backtracking on the primal, sharing no code with the
-dual iteration.
+dual iteration; it multiplies by the dense ``build_sum_operator``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalFailure, OracleFailure
-from .graphcore import build_sum_operator, nodes_from_edge_count, num_edges
+from .graphcore import (DegreeOperator, build_sum_operator,
+                        nodes_from_edge_count, num_edges)
 
 
 @dataclass(frozen=True)
@@ -82,14 +86,14 @@ def init_dual_state(n: int, seed: int) -> DualState:
     return DualState(lam=lam.copy(), lam_prev=lam.copy(), omega=lam.copy())
 
 
-def dual_step(y: np.ndarray, S: np.ndarray, St: np.ndarray, alpha: float,
-              beta: float, lipschitz: float, state: DualState
+def dual_step(y: np.ndarray, op: DegreeOperator, alpha: float, beta: float,
+              lipschitz: float, state: DualState
               ) -> tuple[np.ndarray, DualState]:
     """One iteration of the dual method; returns the primal iterate and the
     advanced state.  Kept as a free function so the training unroll can mirror
     it operation for operation."""
-    w = np.maximum(0.0, (St @ state.omega - 2.0 * y) / (2.0 * beta))
-    Sw = S @ w
+    w = np.maximum(0.0, (op.pair_sum(state.omega) - 2.0 * y) / (2.0 * beta))
+    Sw = op.degree(w)
     z = Sw - lipschitz * state.omega
     u = 0.5 * (z + np.sqrt(z * z + 4.0 * alpha * lipschitz))
     lam = state.omega - (Sw - u) / lipschitz
@@ -102,10 +106,10 @@ def dual_step(y: np.ndarray, S: np.ndarray, St: np.ndarray, alpha: float,
 
 def identify_graph(y: np.ndarray, n: int, cfg: SolverConfig) -> SolveResult:
     """Run the dual iteration until the relative multiplier step drops below
-    ``cfg.tol`` or ``cfg.max_iters`` iterations have been spent.  The result
-    carries the primal objective and the isolated-node count of the returned
-    weights, so an infeasible point is flagged rather than passed off as a
-    solution."""
+    ``cfg.tol`` at a primal iterate that leaves no node isolated, or until
+    ``cfg.max_iters`` iterations have been spent.  The result carries the
+    primal objective and the isolated-node count of the returned weights, so
+    an infeasible point is flagged rather than passed off as a solution."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (num_edges(n),):
         raise DimensionError(
@@ -113,8 +117,7 @@ def identify_graph(y: np.ndarray, n: int, cfg: SolverConfig) -> SolveResult:
     if np.min(y) < 0:
         raise DimensionError("pairwise distances must be nonnegative")
 
-    S = build_sum_operator(n)
-    St = S.T.copy()
+    op = DegreeOperator(n)
     lipschitz = (n - 1) / cfg.beta
     state = init_dual_state(n, cfg.seed)
 
@@ -123,7 +126,7 @@ def identify_graph(y: np.ndarray, n: int, cfg: SolverConfig) -> SolveResult:
     converged = False
     iters = 0
     for k in range(cfg.max_iters):
-        w, state = dual_step(y, S, St, cfg.alpha, cfg.beta, lipschitz, state)
+        w, state = dual_step(y, op, cfg.alpha, cfg.beta, lipschitz, state)
         iters = k + 1
         if not (np.all(np.isfinite(state.lam)) and np.all(np.isfinite(w))):
             raise NumericalFailure(
@@ -131,13 +134,16 @@ def identify_graph(y: np.ndarray, n: int, cfg: SolverConfig) -> SolveResult:
         denom = np.linalg.norm(state.lam_prev)
         step = np.linalg.norm(state.lam - state.lam_prev)
         rel_step = step / denom if denom > 0 else np.inf
-        if rel_step < cfg.tol:
+        # A small step alone is no convergence: with L = (n-1)/beta large,
+        # the first steps of a solve that sits at w = 0 are already small.
+        if rel_step < cfg.tol and np.min(op.degree(w)) > 0:
             converged = True
             break
+    degrees = op.degree(w)
     return SolveResult(w=w, iters_run=iters, converged=converged,
                        final_relative_step=float(rel_step),
-                       objective=objective(w, y, cfg),
-                       isolated_nodes=int(np.count_nonzero(S @ w <= 0)))
+                       objective=_objective(w, y, cfg, degrees),
+                       isolated_nodes=int(np.count_nonzero(degrees <= 0)))
 
 
 def objective(w: np.ndarray, y: np.ndarray, cfg: SolverConfig) -> float:
@@ -148,7 +154,11 @@ def objective(w: np.ndarray, y: np.ndarray, cfg: SolverConfig) -> float:
     if w.shape != y.shape:
         raise DimensionError(f"length mismatch: {w.shape} vs {y.shape}")
     n = nodes_from_edge_count(w.shape[0])
-    degrees = build_sum_operator(n) @ w
+    return _objective(w, y, cfg, DegreeOperator(n).degree(w))
+
+
+def _objective(w: np.ndarray, y: np.ndarray, cfg: SolverConfig,
+               degrees: np.ndarray) -> float:
     if np.min(degrees) <= 0:
         return np.inf
     return float(2.0 * w @ y + cfg.beta * w @ w

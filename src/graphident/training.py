@@ -22,7 +22,7 @@ from .datagen import SampleRecord, sample_smooth_signals, smooth_signal_root
 from .encoder import (EncoderParams, arrays_to_params, encode, encode_on_tape,
                       init_params, lift_params, params_to_arrays)
 from .errors import DimensionError, SchemaError, TrainStepError
-from .graphcore import (adjoint, build_sum_operator, devectorize,
+from .graphcore import (DegreeOperator, adjoint, devectorize,
                         half_vectorize, mae, nodes_from_edge_count)
 from .solver import DualState, dual_step, init_dual_state
 
@@ -107,32 +107,30 @@ def identification_loss(w: np.ndarray, w_hat: np.ndarray) -> float:
     return term + float(np.abs(adj - adj_hat).sum())
 
 
-def _adjoint_vech_on_tape(w: ad.Var, S: np.ndarray, St: np.ndarray) -> ad.Var:
+def _adjoint_vech_on_tape(w: ad.Var, op: DegreeOperator) -> ad.Var:
     """Half-vectorized symmetrized complement graph of the identified weights.
 
-    The zero pattern and per-row free-slot counts come from the forward value
+    The zero pattern and per-node free-slot counts come from the forward value
     (piecewise constant in w); gradients flow through the degree mass only.
     """
-    wv = w.value
-    n = S.shape[0]
-    W = devectorize(wv, n)
-    free = (W == 0.0) & ~np.eye(n, dtype=bool)
-    n_free = free.sum(axis=1)
-    inv_free = np.divide(1.0, n_free, out=np.zeros(n), where=n_free > 0)
-    edge_mask = (wv == 0.0).astype(np.float64)
-
-    degrees = ad.matmul(S, w)
-    share = ad.mul(degrees, inv_free)
-    spread = ad.matmul(St, share)
-    return ad.scale(ad.mul(spread, edge_mask), 0.5)
+    edge_mask = (w.value == 0.0).astype(np.float64)
+    n_free = op.degree(edge_mask)
+    inv_free = np.divide(1.0, n_free, out=np.zeros(op.n), where=n_free > 0)
+    share = ad.mul(ad.degree(w, op), inv_free)
+    return ad.scale(ad.mul(ad.pair_sum(share, op), edge_mask), 0.5)
 
 
-def loss_on_tape(w: ad.Var, w_hat: np.ndarray, S: np.ndarray,
-                 St: np.ndarray) -> ad.Var:
-    adj_hat = half_vectorize(adjoint(devectorize(w_hat, S.shape[0])))
+def loss_on_tape(w: ad.Var, w_hat: np.ndarray, S: np.ndarray | None = None,
+                 St: np.ndarray | None = None) -> ad.Var:
+    """``identification_loss`` recorded on the tape of ``w``.  ``S`` and
+    ``St``, the dense degree operator and its transpose, are accepted for
+    callers that still pass them and are not read: the degrees come from
+    the index form of ``DegreeOperator``."""
+    op = DegreeOperator(nodes_from_edge_count(w.shape[0]))
+    adj_hat = half_vectorize(adjoint(devectorize(w_hat, op.n)))
     weight_term = ad.asum(ad.absolute(ad.sub(w, w_hat)))
     adjoint_term = ad.asum(ad.absolute(
-        ad.sub(_adjoint_vech_on_tape(w, S, St), adj_hat)))
+        ad.sub(_adjoint_vech_on_tape(w, op), adj_hat)))
     return ad.add(weight_term, adjoint_term)
 
 
@@ -165,10 +163,7 @@ def unrolled_identify(X: np.ndarray, params: EncoderParams,
     stacks, leaves = lift_params(tape, params)
     features, _, y, alpha, beta, _ = encode_on_tape(tape, X, stacks, params)
 
-    S = build_sum_operator(n)
-    St = S.T.copy()
-    S_var = tape.leaf(S)
-    St_var = tape.leaf(St)
+    op = DegreeOperator(n)
     if dual is None:
         dual = init_dual_state(n, solver_seed)
 
@@ -179,9 +174,9 @@ def unrolled_identify(X: np.ndarray, params: EncoderParams,
 
     w = None
     for k in range(unroll_steps):
-        w = ad.relu(ad.div(ad.sub(ad.matmul(St_var, omega), ad.scale(y, 2.0)),
+        w = ad.relu(ad.div(ad.sub(ad.pair_sum(omega, op), ad.scale(y, 2.0)),
                            ad.scale(beta, 2.0)))
-        Sw = ad.matmul(S_var, w)
+        Sw = ad.degree(w, op)
         z = ad.sub(Sw, ad.mul(lipschitz, omega))
         u = ad.scale(ad.add(z, ad.sqrt(ad.add(ad.mul(z, z),
                                               ad.mul(ad.scale(alpha, 4.0),
@@ -256,7 +251,8 @@ def _step_rng(seed: int, step: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, step, stream])
 
 
-def _presolve(X, params, dual, S, St, cfg: TrainConfig) -> DualState:
+def _presolve(X, params, dual, op: DegreeOperator,
+              cfg: TrainConfig) -> DualState:
     """Advance the persistent dual state, untaped, until it tracks the
     current window's solution; the taped unroll then differentiates the tail
     of an (almost) converged solve, matching what evaluation runs."""
@@ -264,7 +260,7 @@ def _presolve(X, params, dual, S, St, cfg: TrainConfig) -> DualState:
     y = half_vectorize(out.distances)
     lipschitz = (X.shape[0] - 1) / out.beta
     for _ in range(cfg.presolve_iters):
-        _, dual = dual_step(y, S, St, out.alpha, out.beta, lipschitz, dual)
+        _, dual = dual_step(y, op, out.alpha, out.beta, lipschitz, dual)
         if not np.all(np.isfinite(dual.lam)):
             raise TrainStepError("non-finite dual state during presolve")
         denom = np.linalg.norm(dual.lam_prev)
@@ -296,8 +292,7 @@ def train(records: list[SampleRecord], cfg: TrainConfig,
         state = init_train_state(params)
     kind = records[0].meta.get("kind", "formation")
     n = records[0].X.shape[0]
-    S = build_sum_operator(n)
-    St = S.T.copy()
+    op = DegreeOperator(n)
 
     formation_root = None
     if kind == "formation" and cfg.resample_windows:
@@ -348,7 +343,7 @@ def train(records: list[SampleRecord], cfg: TrainConfig,
                 try:
                     if cfg.presolve_iters > 0:
                         state.dual = _presolve(X, state.params, state.dual,
-                                               S, St, cfg)
+                                               op, cfg)
                     result = unrolled_identify(X, state.params,
                                                cfg.unroll_steps,
                                                dual=state.dual)
@@ -364,7 +359,7 @@ def train(records: list[SampleRecord], cfg: TrainConfig,
                     f"step {step} failed after {cfg.retry_budget} retries",
                     step=step)
 
-            loss_var = loss_on_tape(result.w, w_hat, S, St)
+            loss_var = loss_on_tape(result.w, w_hat)
             grads_all = ad.backward(result.tape, loss_var)
             grads = clip_gradients([grads_all[leaf].copy()
                                     for leaf in result.param_leaves],

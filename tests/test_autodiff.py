@@ -6,6 +6,7 @@ import pytest
 
 from graphident import autodiff as ad
 from graphident.errors import DimensionError
+from graphident.graphcore import DegreeOperator
 
 RNG = np.random.default_rng(123)
 
@@ -113,6 +114,18 @@ class TestPrimitiveGradients:
     def test_row_broadcast_bias(self):
         check(lambda v: ad.asum(ad.tanh(ad.add(v[0], v[1]))),
               [RNG.normal(size=(4, 3)), RNG.normal(size=3)])
+
+    def test_degree(self):
+        op = DegreeOperator(5)
+        rng = np.random.default_rng(7)
+        check(lambda v: ad.asum(ad.mul(ad.degree(v[0], op), v[1])),
+              [rng.normal(size=10), rng.normal(size=5)])
+
+    def test_pair_sum(self):
+        op = DegreeOperator(5)
+        rng = np.random.default_rng(8)
+        check(lambda v: ad.asum(ad.mul(ad.pair_sum(v[0], op), v[1])),
+              [rng.normal(size=5), rng.normal(size=10)])
 
 
 class TestSubgradientConventions:

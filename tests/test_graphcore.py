@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from graphident.errors import DimensionError, InvariantError
-from graphident.graphcore import (EdgeRecovery, adjoint, adjoint_raw,
-                                  build_sum_operator, devectorize,
-                                  distance_matrix, edge_density,
-                                  edge_recovery, half_vectorize, laplacian,
-                                  mae, total_variation,
-                                  total_variation_nd)
+from graphident.graphcore import (DegreeOperator, EdgeRecovery, adjoint,
+                                  adjoint_raw, build_sum_operator,
+                                  devectorize, distance_matrix,
+                                  edge_density, edge_recovery,
+                                  half_vectorize, laplacian, mae, num_edges,
+                                  total_variation, total_variation_nd)
 
 
 def random_adjacency(n, rng, density=0.5):
@@ -76,6 +76,22 @@ class TestSumOperator:
     def test_rejects_small_n(self):
         with pytest.raises(DimensionError):
             build_sum_operator(1)
+
+
+class TestDegreeOperator:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_index_forms_match_dense(self, n):
+        rng = np.random.default_rng(40 + n)
+        S = build_sum_operator(n)
+        op = DegreeOperator(n)
+        w = rng.uniform(-1.0, 2.0, size=num_edges(n))
+        lam = rng.normal(size=n)
+        assert np.allclose(op.degree(w), S @ w, rtol=0.0, atol=1e-13)
+        assert np.array_equal(op.pair_sum(lam), S.T @ lam)
+
+    def test_rejects_small_n(self):
+        with pytest.raises(DimensionError):
+            DegreeOperator(1)
 
 
 class TestTotalVariation:

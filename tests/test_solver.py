@@ -4,10 +4,11 @@ contracts around feasibility and convergence."""
 import numpy as np
 import pytest
 
-from graphident.datagen import FormationSpec, generate_formation_sample
+from graphident.datagen import (FormationSpec, generate_formation_sample,
+                                sample_er_graph, sample_smooth_signals)
 from graphident.errors import DimensionError
-from graphident.graphcore import (devectorize, distance_matrix,
-                                  half_vectorize, num_edges)
+from graphident.graphcore import (DegreeOperator, devectorize,
+                                  distance_matrix, half_vectorize, num_edges)
 from graphident.solver import (SolverConfig, dual_step,
                                identify_graph, init_dual_state, objective,
                                reference_solve)
@@ -86,7 +87,7 @@ class TestIdentifyGraph:
         z = Sw - lip * state.omega
         u = 0.5 * (z + np.sqrt(z * z + 4.0 * (alpha * lip)))
         lam_manual = state.omega - (Sw - u) / lip
-        w, new_state = dual_step(y, S, S.T.copy(), alpha, beta, lip, state)
+        w, new_state = dual_step(y, DegreeOperator(n), alpha, beta, lip, state)
         assert np.allclose(w, w_manual, atol=1e-15)
         assert np.allclose(new_state.lam, lam_manual, atol=1e-15)
         assert new_state.tau == (1 + np.sqrt(5)) / 2
@@ -114,6 +115,16 @@ class TestSolveDiagnostics:
         assert res.isolated_nodes > 0
         assert res.objective == np.inf
 
+    def test_small_first_step_is_not_convergence(self):
+        # At n=200, L = (n-1)/beta is about 2e6, so the very first relative
+        # dual step (4.9e-6) is below tol while the iterate is still w = 0.
+        W = sample_er_graph(200, 0.2, 1)
+        X = sample_smooth_signals(W, 0.1, 2000, 2)
+        y = half_vectorize(distance_matrix(X[:, 0:1, :]))
+        res = identify_graph(y, 200, SolverConfig(0.2, 1e-4))
+        assert res.isolated_nodes > 0
+        assert not res.converged
+
 
 class TestScaleReparametrization:
     """w*(y; alpha, beta) = delta * w*(theta * y; 1, 1) with
@@ -129,6 +140,26 @@ class TestScaleReparametrization:
             direct = reference_solve(y, n, tight(alpha, beta))
             unit = reference_solve(theta * y, n, tight(1.0, 1.0))
             assert np.abs(direct - delta * unit).max() <= 1e-6 * delta
+
+
+class TestNodePermutation:
+    def test_permuting_nodes_permutes_weights(self):
+        # Relabelling the nodes relabels the optimal graph.  The dual solve
+        # of the permuted distances must match both the permuted solve of
+        # the original and the dense-operator oracle on the permuted problem.
+        n = 12
+        rng = np.random.default_rng(50)
+        y = rng.uniform(0.0, 1.0, num_edges(n))
+        perm = rng.permutation(n)
+        y_perm = half_vectorize(devectorize(y, n)[np.ix_(perm, perm)])
+        cfg = tight(2.0, 0.5)
+        w = identify_graph(y, n, cfg).w
+        w_perm = identify_graph(y_perm, n, cfg).w
+        expected = half_vectorize(devectorize(w, n)[np.ix_(perm, perm)])
+        scale = np.abs(w).max()
+        assert np.abs(w_perm - expected).max() <= 1e-9 * scale
+        w_ref = reference_solve(y_perm, n, cfg)
+        assert np.abs(w_perm - w_ref).max() <= 1e-6 * scale
 
 
 class TestObjective:
