@@ -1,7 +1,11 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 A ``Tape`` records every operation in construction order; ``backward`` walks
-the record in reverse, accumulating vector-Jacobian products.  The primitive
+the record in reverse, accumulating vector-Jacobian products.  Every ``Var``
+carries its own value, so a tape may also run unrecorded
+(``Tape(record=False)``): its operations compute the same values and keep no
+nodes, and an intermediate is freed as soon as nothing refers to it.  Such
+a tape serves plain forward passes; ``backward`` refuses it.  The primitive
 set is exactly what the encoder forward pass, the unrolled solver iterations,
 and the training loss need; there is no fusion, no checkpointing, and no
 GPU path.  Everything is float64: downstream thresholds at 1e-5 make single
@@ -28,33 +32,43 @@ class _Node:
 
 
 class Tape:
-    """Append-only operation record; single-owner during recording/backward."""
+    """Operation record in construction order; single-owner during
+    recording/backward.
 
-    def __init__(self):
+    With ``record=False`` nothing is appended to ``nodes`` and the returned
+    Vars have no index: they carry values only.
+    """
+
+    def __init__(self, record: bool = True):
+        self.record = record
         self.nodes: list[_Node] = []
 
     def _push(self, value, parents=(), vjp=None) -> "Var":
         value = np.asarray(value, dtype=np.float64)
+        if not self.record:
+            return Var(self, None, value)
         self.nodes.append(_Node(value, parents, vjp))
-        return Var(self, len(self.nodes) - 1)
+        return Var(self, len(self.nodes) - 1, value)
 
     def leaf(self, value) -> "Var":
         """Register an input (parameter or constant) on the tape."""
         return self._push(value)
 
+    def truncate(self, length: int) -> None:
+        """Drop every node after the first ``length``; Vars recorded after
+        them must not be used again."""
+        del self.nodes[length:]
+
 
 class Var:
-    """Handle to one recorded value on a tape."""
+    """A value computed on a tape, with its node index when recorded."""
 
-    __slots__ = ("tape", "index")
+    __slots__ = ("tape", "index", "value")
 
-    def __init__(self, tape: Tape, index: int):
+    def __init__(self, tape: Tape, index: int | None, value: np.ndarray):
         self.tape = tape
         self.index = index
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.tape.nodes[self.index].value
+        self.value = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -380,12 +394,15 @@ class Gradients:
     def __getitem__(self, var: Var) -> np.ndarray:
         g = self._grads[var.index]
         if g is None:
-            return np.zeros_like(self._tape.nodes[var.index].value)
+            return np.zeros_like(var.value)
         return g
 
 
 def backward(tape: Tape, output: Var) -> Gradients:
     """Reverse sweep from a scalar output; returns gradients for all nodes."""
+    if not tape.record or output.tape is not tape:
+        raise DimensionError(
+            "backward needs an output recorded on the tape it sweeps")
     if output.value.size != 1:
         raise DimensionError(
             f"backward needs a scalar output, got shape {output.shape}")

@@ -44,8 +44,10 @@ is the quantity to hold.  Neither the paper nor the README settles this
 choice; a family whose mean degree stays fixed as n grows would want delta
 held fixed instead.
 
-Everything runs on the autodiff tape so the same forward pass serves both
-plain evaluation and training.
+The forward pass is written once, on the autodiff tape.  Training records
+it (``encode_on_tape``) and differentiates through it; plain evaluation
+(``encode``) runs the same operations on an unrecorded tape, which computes
+the same values bit for bit and keeps no intermediates.
 """
 
 from __future__ import annotations
@@ -329,13 +331,14 @@ def encode_on_tape(tape: ad.Tape, X: np.ndarray, stacks: dict,
 
 
 def encode(X: np.ndarray, params: EncoderParams) -> EncoderOutput:
-    """Plain forward pass; records on a throwaway tape."""
-    tape = ad.Tape()
+    """Plain forward pass, on an unrecorded tape: the values of
+    ``encode_on_tape`` without its record."""
+    tape = ad.Tape(record=False)
     stacks, _ = lift_params(tape, params)
     features, distances, _, alpha, beta, theta = encode_on_tape(
         tape, X, stacks, params)
-    return EncoderOutput(features=features.value.copy(),
-                         distances=distances.value.copy(),
+    return EncoderOutput(features=features.value,
+                         distances=distances.value,
                          alpha=float(alpha.value),
                          beta=float(beta.value),
                          theta=float(theta.value))

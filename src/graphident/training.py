@@ -1,10 +1,12 @@
 """Differentiable unrolled solve, training loss, Adam, and the training loop.
 
-Each training step records the encoder forward pass plus a truncated number
-of solver iterations on one tape, applies the loss to the resulting edge
-weights, and backpropagates into the encoder parameters.  The solver's dual
-state persists across steps while the active sample stays the same
-(truncated unrolling) and is re-seeded whenever the sample changes.
+Each training step records the encoder forward pass once, on a fresh tape.
+An untaped presolve advances the solver's dual state from that recording's
+values; a truncated number of solver iterations is then recorded on the
+same tape, the loss is applied to the resulting edge weights, and the
+gradient flows back into the encoder parameters.  The dual state persists
+across steps while the active sample stays the same (truncated unrolling)
+and is re-seeded whenever the sample changes.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .datagen import SampleRecord, sample_smooth_signals, smooth_signal_root
-from .encoder import (EncoderParams, arrays_to_params, encode, encode_on_tape,
+from .encoder import (EncoderParams, arrays_to_params, encode_on_tape,
                       init_params, lift_params, params_to_arrays)
 from .errors import DimensionError, SchemaError, TrainStepError
 from .graphcore import (DegreeOperator, adjoint, devectorize,
@@ -138,36 +140,48 @@ def loss_on_tape(w: ad.Var, w_hat: np.ndarray, S: np.ndarray | None = None,
 
 
 @dataclass
+class EncoderRecording:
+    """The encoder forward pass recorded on ``tape``; ``mark`` is the tape
+    length right after it, where every unroll starts."""
+    tape: ad.Tape
+    param_leaves: list[ad.Var]
+    y: ad.Var
+    alpha: ad.Var
+    beta: ad.Var
+    mark: int
+
+
+@dataclass
 class UnrollResult:
     tape: ad.Tape
     w: ad.Var
     param_leaves: list[ad.Var]
-    features: ad.Var
     y: ad.Var
     alpha: ad.Var
     beta: ad.Var
     dual_next: DualState
 
 
-def unrolled_identify(X: np.ndarray, params: EncoderParams,
-                      unroll_steps: int, solver_seed: int = 0,
-                      dual: DualState | None = None) -> UnrollResult:
-    """Record encoder plus ``unroll_steps`` solver iterations on one tape.
+def record_encoder(X: np.ndarray, params: EncoderParams) -> EncoderRecording:
+    """Record the encoder forward pass on a fresh tape."""
+    tape = ad.Tape()
+    stacks, leaves = lift_params(tape, params)
+    _, _, y, alpha, beta, _ = encode_on_tape(tape, X, stacks, params)
+    return EncoderRecording(tape=tape, param_leaves=leaves, y=y, alpha=alpha,
+                            beta=beta, mark=len(tape.nodes))
+
+
+def unroll(rec: EncoderRecording, op: DegreeOperator, unroll_steps: int,
+           dual: DualState) -> UnrollResult:
+    """Record ``unroll_steps`` solver iterations from ``dual`` on the tape
+    of ``rec``, continuing after the encoder.
 
     The iteration body mirrors ``solver.dual_step`` operation for operation,
     so the forward values match a plain solve bit-for-bit given the same
     starting state.
     """
-    n = X.shape[0]
-    tape = ad.Tape()
-    stacks, leaves = lift_params(tape, params)
-    features, _, y, alpha, beta, _ = encode_on_tape(tape, X, stacks, params)
-
-    op = DegreeOperator(n)
-    if dual is None:
-        dual = init_dual_state(n, solver_seed)
-
-    lipschitz = ad.div(float(n - 1), beta)
+    tape, y, alpha, beta = rec.tape, rec.y, rec.alpha, rec.beta
+    lipschitz = ad.div(float(op.n - 1), beta)
     omega = tape.leaf(dual.omega)
     lam_prev = tape.leaf(dual.lam)
     tau = dual.tau
@@ -198,9 +212,21 @@ def unrolled_identify(X: np.ndarray, params: EncoderParams,
                           omega=omega.value.copy(),
                           tau=tau,
                           iteration=dual.iteration + unroll_steps)
-    return UnrollResult(tape=tape, w=w, param_leaves=leaves,
-                        features=features, y=y, alpha=alpha, beta=beta,
-                        dual_next=dual_next)
+    return UnrollResult(tape=tape, w=w, param_leaves=rec.param_leaves, y=y,
+                        alpha=alpha, beta=beta, dual_next=dual_next)
+
+
+def unrolled_identify(X: np.ndarray, params: EncoderParams,
+                      unroll_steps: int, solver_seed: int = 0,
+                      dual: DualState | None = None) -> UnrollResult:
+    """Record encoder plus ``unroll_steps`` solver iterations on one tape,
+    starting from ``dual`` or, when it is None, from a dual state seeded by
+    ``solver_seed``."""
+    n = X.shape[0]
+    if dual is None:
+        dual = init_dual_state(n, solver_seed)
+    return unroll(record_encoder(X, params), DegreeOperator(n), unroll_steps,
+                  dual)
 
 
 # --- Adam ----------------------------------------------------------------------
@@ -251,16 +277,18 @@ def _step_rng(seed: int, step: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, step, stream])
 
 
-def _presolve(X, params, dual, op: DegreeOperator,
+def _presolve(rec: EncoderRecording, op: DegreeOperator, dual: DualState,
               cfg: TrainConfig) -> DualState:
     """Advance the persistent dual state, untaped, until it tracks the
     current window's solution; the taped unroll then differentiates the tail
-    of an (almost) converged solve, matching what evaluation runs."""
-    out = encode(X, params)
-    y = half_vectorize(out.distances)
-    lipschitz = (X.shape[0] - 1) / out.beta
+    of an (almost) converged solve, matching what evaluation runs.  The
+    solver input and regularizers are read from the step's one encoder
+    recording, so the encoder does not run again."""
+    y = rec.y.value
+    alpha, beta = float(rec.alpha.value), float(rec.beta.value)
+    lipschitz = (op.n - 1) / beta
     for _ in range(cfg.presolve_iters):
-        _, dual = dual_step(y, op, out.alpha, out.beta, lipschitz, dual)
+        _, dual = dual_step(y, op, alpha, beta, lipschitz, dual)
         if not np.all(np.isfinite(dual.lam)):
             raise TrainStepError("non-finite dual state during presolve")
         denom = np.linalg.norm(dual.lam_prev)
@@ -338,19 +366,20 @@ def train(records: list[SampleRecord], cfg: TrainConfig,
                     state.dual = init_dual_state(n, seed)
 
             w_hat = half_vectorize(record.W)
+            rec = record_encoder(X, state.params)
             result = None
             for attempt in range(cfg.retry_budget + 1):
                 try:
                     if cfg.presolve_iters > 0:
-                        state.dual = _presolve(X, state.params, state.dual,
-                                               op, cfg)
-                    result = unrolled_identify(X, state.params,
-                                               cfg.unroll_steps,
-                                               dual=state.dual)
+                        state.dual = _presolve(rec, op, state.dual, cfg)
+                    result = unroll(rec, op, cfg.unroll_steps, state.dual)
                     break
                 except TrainStepError as exc:
                     log.warning("step %d attempt %d failed: %s",
                                 step, attempt, exc)
+                    # The retry reuses the encoder recording; drop the
+                    # failed attempt's nodes after it.
+                    rec.tape.truncate(rec.mark)
                     seed = int(_step_rng(cfg.seed, step, 4 + attempt)
                                .integers(2 ** 62))
                     state.dual = init_dual_state(n, seed)

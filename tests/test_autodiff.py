@@ -202,6 +202,28 @@ class TestBackward:
         with pytest.raises(DimensionError):
             ad.add(t1.leaf(1.0), t2.leaf(1.0))
 
+    def test_unrecorded_tape_keeps_values_not_nodes(self):
+        x = RNG.normal(size=(4, 3))
+
+        def run(tape):
+            v = tape.leaf(x)
+            return ad.asum(ad.softmax_rows(ad.matmul(v, ad.transpose(v))))
+
+        plain = ad.Tape(record=False)
+        out = run(plain)
+        assert plain.nodes == []
+        assert np.array_equal(out.value, run(ad.Tape()).value)
+
+    def test_backward_rejects_unrecorded_output(self):
+        plain = ad.Tape(record=False)
+        out = ad.asum(ad.mul(plain.leaf(np.ones(3)), 2.0))
+        with pytest.raises(DimensionError):
+            ad.backward(plain, out)
+        recorded = ad.Tape()
+        recorded.leaf(1.0)
+        with pytest.raises(DimensionError):
+            ad.backward(recorded, out)
+
     def test_recording_is_deterministic(self):
         x = RNG.normal(size=(5, 5))
 

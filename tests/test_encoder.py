@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from graphident import autodiff as ad
 from graphident import encoder as enc
 from graphident.errors import DimensionError, SchemaError
 
@@ -102,6 +103,24 @@ class TestEncode:
             enc.encode(RNG.normal(size=(4, 3, 5)), params)
         with pytest.raises(DimensionError):
             enc.encode(RNG.normal(size=(4, 5)), params)
+
+    @pytest.mark.parametrize("make_params",
+                             [enc.formation_params, enc.flocking_params])
+    @pytest.mark.parametrize("n", [2, 7, 30])
+    def test_matches_recorded_pass(self, make_params, n):
+        # encode runs unrecorded; its values are the recorded pass's, bit
+        # for bit.
+        params = make_params(seed=n)
+        X = RNG.normal(size=(n, 2, 9))
+        out = enc.encode(X, params)
+        tape = ad.Tape()
+        stacks, _ = enc.lift_params(tape, params)
+        features, distances, _, alpha, beta, theta = enc.encode_on_tape(
+            tape, X, stacks, params)
+        assert np.array_equal(out.features, features.value)
+        assert np.array_equal(out.distances, distances.value)
+        assert (out.alpha, out.beta, out.theta) == (
+            float(alpha.value), float(beta.value), float(theta.value))
 
     def test_flocking_range_uses_its_scale(self):
         params = enc.flocking_params(seed=7)

@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 from graphident import autodiff as ad
+from graphident import encoder as enc
 from graphident import training as tr
 from graphident.datagen import (FormationSpec, SampleRecord,
                                 generate_formation_sample, sample_er_graph,
                                 sample_smooth_signals)
-from graphident.encoder import (arrays_to_params, encode, formation_params,
-                                params_to_arrays)
+from graphident.encoder import (arrays_to_params, encode, flocking_params,
+                                formation_params, params_to_arrays)
 from graphident.errors import DimensionError, SchemaError
-from graphident.graphcore import (build_sum_operator, half_vectorize,
-                                  num_edges)
-from graphident.solver import SolverConfig, identify_graph, init_dual_state
+from graphident.graphcore import (DegreeOperator, build_sum_operator,
+                                  half_vectorize, num_edges)
+from graphident.solver import (DualState, SolverConfig, dual_step,
+                               identify_graph, init_dual_state)
 
 
 def small_record(n=6, d=12, seed=0, p=0.4):
@@ -248,6 +250,151 @@ class TestTrainLoop:
         start = np.mean([m["mae"] for m in metrics[:20]])
         end = np.mean([m["mae"] for m in metrics[-20:]])
         assert end <= 0.5 * start
+
+
+def reference_train(records, cfg, params):
+    """``train`` written out with the encoder run twice per step: a plain
+    pass feeds the presolve, then ``unrolled_identify`` records encoder and
+    unroll afresh.  Retries and rejected steps are not handled."""
+    n = records[0].X.shape[0]
+    op = DegreeOperator(n)
+    flocking = records[0].meta["kind"] == "flocking"
+    state = tr.init_train_state(params)
+    sample_id, losses = 0, []
+    for step in range(cfg.total_steps):
+        if flocking and step % cfg.sample_refresh_period == 0:
+            sample_id = int(tr._step_rng(cfg.seed, step, 1)
+                            .integers(len(records)))
+            state.dual = None
+        if state.dual is None:
+            seed = int(tr._step_rng(cfg.seed, step, 3).integers(2 ** 62))
+            state.dual = init_dual_state(n, seed)
+        record = records[sample_id]
+        out = encode(record.X, state.params)
+        y = half_vectorize(out.distances)
+        dual = state.dual
+        for _ in range(cfg.presolve_iters):
+            _, dual = dual_step(y, op, out.alpha, out.beta,
+                                (n - 1) / out.beta, dual)
+            denom = np.linalg.norm(dual.lam_prev)
+            if denom > 0 and (np.linalg.norm(dual.lam - dual.lam_prev)
+                              / denom < cfg.presolve_tol):
+                break
+        res = tr.unrolled_identify(record.X, state.params, cfg.unroll_steps,
+                                   dual=dual)
+        loss = tr.loss_on_tape(res.w, half_vectorize(record.W))
+        grads = ad.backward(res.tape, loss)
+        grads = tr.clip_gradients([grads[leaf].copy()
+                                   for leaf in res.param_leaves],
+                                  cfg.grad_clip)
+        state = tr.adam_update(state, grads, cfg)
+        assert state.step == step + 1
+        state.dual = res.dual_next
+        losses.append(float(loss.value))
+    return state, losses
+
+
+def flocking_records(count=4, n=6, d=8, seed=11):
+    rng = np.random.default_rng(seed)
+    return [SampleRecord(X=rng.normal(size=(n, 2, d)),
+                         W=sample_er_graph(n, 0.5, seed + k),
+                         meta={"kind": "flocking"}) for k in range(count)]
+
+
+class TestOneEncoderPassPerStep:
+    @pytest.mark.parametrize("records, cfg, params", [
+        ([small_record(n=8, d=40, seed=3)],
+         tr.TrainConfig(total_steps=5, unroll_steps=8,
+                        resample_windows=False, seed=2),
+         formation_params(seed=5)),
+        (flocking_records(),
+         tr.TrainConfig(total_steps=6, unroll_steps=6,
+                        sample_refresh_period=4, seed=4),
+         flocking_params(seed=1)),
+    ], ids=["formation", "flocking-refresh"])
+    def test_bit_identical_to_two_pass_steps(self, records, cfg, params):
+        state, metrics = tr.train(records, cfg, params=params)
+        ref_state, ref_losses = reference_train(records, cfg, params)
+        assert [m["loss"] for m in metrics] == ref_losses
+        for a, b in zip(params_to_arrays(state.params),
+                        params_to_arrays(ref_state.params)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(state.dual.lam, ref_state.dual.lam)
+
+    @staticmethod
+    def one_step(monkeypatch, record, cfg, dual):
+        """One training step from ``dual``: counts of encoder calls, the
+        tape length at ``backward``, the gradients and the new state."""
+        seen = {"encode_on_tape": 0, "encode": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def backward(tape, out, real=ad.backward):
+            seen["nodes"] = len(tape.nodes)
+            return real(tape, out)
+
+        def adam_update(state, grads, cfg, real=tr.adam_update):
+            seen["grads"] = grads
+            return real(state, grads, cfg)
+
+        monkeypatch.setattr(tr, "encode_on_tape",
+                            counted("encode_on_tape", tr.encode_on_tape))
+        monkeypatch.setattr(enc, "encode", counted("encode", enc.encode))
+        monkeypatch.setattr(tr, "encode", counted("encode", enc.encode),
+                            raising=False)
+        monkeypatch.setattr(ad, "backward", backward)
+        monkeypatch.setattr(tr, "adam_update", adam_update)
+        state = tr.init_train_state(formation_params(seed=2))
+        state.dual = dual
+        state, _ = tr.train([record], cfg, state=state)
+        monkeypatch.undo()
+        return state, seen
+
+    @pytest.mark.parametrize("failing", ["presolve", "unroll"])
+    def test_retry_reuses_the_recording(self, monkeypatch, caplog, failing):
+        record = small_record(n=6, d=12, seed=4)
+        n = record.X.shape[0]
+        if failing == "presolve":
+            # The first presolve iteration returns a non-finite state.
+            cfg = tr.TrainConfig(total_steps=1, unroll_steps=5, seed=6)
+            real_step = tr.dual_step
+            calls = []
+
+            def dual_step_failing_once(*args):
+                w, dual = real_step(*args)
+                if not calls:
+                    dual = DualState(np.full(n, np.nan), dual.lam_prev,
+                                     dual.omega, dual.tau, dual.iteration)
+                calls.append(1)
+                return w, dual
+
+            monkeypatch.setattr(tr, "dual_step", dual_step_failing_once)
+            start = init_dual_state(n, 1)
+        else:
+            # No presolve: the unroll itself starts from a non-finite state.
+            cfg = tr.TrainConfig(total_steps=1, unroll_steps=5,
+                                 presolve_iters=0, seed=6)
+            nan = np.full(n, np.nan)
+            start = DualState(nan, nan.copy(), nan.copy())
+        state, seen = self.one_step(monkeypatch, record, cfg, start)
+        assert caplog.text.count("failed") == 1
+        assert state.step == 1
+        assert seen["encode_on_tape"] == 1 and seen["encode"] == 0
+
+        reseeded = init_dual_state(
+            n, int(tr._step_rng(cfg.seed, 0, 4).integers(2 ** 62)))
+        clean, clean_seen = self.one_step(monkeypatch, record, cfg, reseeded)
+        assert caplog.text.count("failed") == 1
+        assert seen["nodes"] == clean_seen["nodes"]
+        for a, b in zip(seen["grads"], clean_seen["grads"]):
+            assert np.array_equal(a, b)
+        for a, b in zip(params_to_arrays(state.params),
+                        params_to_arrays(clean.params)):
+            assert np.array_equal(a, b)
 
 
 class TestCheckpoint:
