@@ -6,10 +6,12 @@ carries its own value, so a tape may also run unrecorded
 (``Tape(record=False)``): its operations compute the same values and keep no
 nodes, and an intermediate is freed as soon as nothing refers to it.  Such
 a tape serves plain forward passes; ``backward`` refuses it.  The primitive
-set is exactly what the encoder forward pass, the unrolled solver iterations,
-and the training loss need; there is no fusion, no checkpointing, and no
-GPU path.  Everything is float64: downstream thresholds at 1e-5 make single
-precision risky.
+set covers the encoder forward pass and the training loss.  Two hot
+chains are single nodes with hand-written VJPs: ``dense``, one fully
+connected layer, and the unrolled solve, which training records through
+``custom`` with the solver's own reverse step.  There is no checkpointing
+and no GPU path.  Everything is float64: downstream thresholds at 1e-5 make
+single precision risky.
 """
 
 from __future__ import annotations
@@ -79,44 +81,6 @@ class Var:
 
     def __repr__(self):
         return f"Var(index={self.index}, shape={self.shape})"
-
-    def __add__(self, other):
-        return add(self, _wrap(self.tape, other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _wrap(self.tape, other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(self.tape, other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(self.tape, other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _wrap(self.tape, other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(self.tape, other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(self.tape, other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    @property
-    def T(self):
-        return transpose(self)
-
-    def sum(self):
-        return asum(self)
-
-    def mean(self):
-        return amean(self)
 
 
 def _wrap(tape: Tape, x) -> Var:
@@ -210,6 +174,43 @@ def matmul(a, b) -> Var:
         raise DimensionError(
             f"matmul supports 2D/2D, 2D/1D and 1D/2D, got {av.shape} @ {bv.shape}")
     return a.tape._push(av @ bv, (a.index, b.index), vjp)
+
+
+def dense(h: Var, W: Var, b: Var, act: str = "tanh") -> Var:
+    """One node for ``act(h @ W + b)``, ``act`` "tanh" or "linear".  The
+    bias is added and tanh applied in place on the matmul output, and the
+    VJP runs the numpy operations of the chain matmul, add, tanh in the
+    same order, so values and gradients match that chain bit for bit."""
+    hv, Wv, bv = h.value, W.value, b.value
+    if hv.ndim != 2 or Wv.ndim != 2 or hv.shape[1] != Wv.shape[0] \
+            or bv.shape != (Wv.shape[1],):
+        raise DimensionError(
+            f"dense layer mismatch {hv.shape} @ {Wv.shape} + {bv.shape}")
+    if act not in ("tanh", "linear"):
+        raise ValueError(f"unknown activation {act!r}")
+    out = hv @ Wv
+    out += bv
+    if act == "tanh":
+        np.tanh(out, out=out)
+
+    def vjp(g):
+        if act == "tanh":
+            # g * (1 - out^2), in one buffer: fresh arrays of this size
+            # cost more in page faults than in arithmetic.
+            t = out * out
+            np.subtract(1.0, t, out=t)
+            g = np.multiply(g, t, out=t)
+        return (g @ Wv.T, hv.T @ g, g.sum(axis=0))
+
+    return h.tape._push(out, (h.index, W.index, b.index), vjp)
+
+
+def custom(parents: Sequence[Var], value, vjp) -> Var:
+    """Record ``value``, computed off the tape from ``parents``, as one
+    node; ``vjp(g)`` returns one gradient per parent."""
+    tape = parents[0].tape
+    return tape._push(value, tuple(_wrap(tape, p).index for p in parents),
+                      vjp)
 
 
 def transpose(a: Var) -> Var:
@@ -387,8 +388,7 @@ def vech_upper(a: Var) -> Var:
 class Gradients:
     """Gradient lookup for every leaf recorded on a tape."""
 
-    def __init__(self, tape: Tape, grads: list):
-        self._tape = tape
+    def __init__(self, grads: list):
         self._grads = grads
 
     def __getitem__(self, var: Var) -> np.ndarray:
@@ -414,10 +414,11 @@ def backward(tape: Tape, output: Var) -> Gradients:
         if g is None or node.vjp is None:
             continue
         for parent, pg in zip(node.parents, node.vjp(g)):
-            if grads[parent] is None:
-                grads[parent] = np.zeros_like(tape.nodes[parent].value)
-            grads[parent] += pg
-    return Gradients(tape, grads)
+            # Never add in place: a VJP may hand one array to two parents,
+            # and += on a numpy scalar rebinds instead of updating.
+            old = grads[parent]
+            grads[parent] = pg if old is None else old + pg
+    return Gradients(grads)
 
 
 @dataclass

@@ -94,10 +94,6 @@ class EncoderParams:
     scale_free: bool
 
     @property
-    def state_dim(self) -> int:
-        return self.fc1[0][0].shape[0]
-
-    @property
     def fc1_widths(self) -> tuple[int, ...]:
         return _stack_widths(self.fc1)
 
@@ -218,17 +214,13 @@ def arrays_to_params(arrays: list[np.ndarray],
 
 
 def _run_stack(h: ad.Var, stack_vars, last: str) -> ad.Var:
-    """Apply a fully connected stack; ``last`` names the final activation."""
+    """Apply a fully connected stack, one ``ad.dense`` node per layer;
+    ``last`` names the final activation."""
     for i, (W, b) in enumerate(stack_vars):
-        h = ad.add(ad.matmul(h, W), b)
-        if i < len(stack_vars) - 1:
-            h = ad.tanh(h)
-        elif last == "tanh":
-            h = ad.tanh(h)
-        elif last == "sigmoid":
+        act = "tanh" if i < len(stack_vars) - 1 else last
+        h = ad.dense(h, W, b, "linear" if act == "sigmoid" else act)
+        if act == "sigmoid":
             h = ad.sigmoid(h)
-        elif last != "linear":
-            raise ValueError(f"unknown activation {last!r}")
     return h
 
 
@@ -344,41 +336,58 @@ def encode(X: np.ndarray, params: EncoderParams) -> EncoderOutput:
                          theta=float(theta.value))
 
 
-def save_params(params: EncoderParams, path) -> None:
-    """Checkpoint as a structured text document; floats round-trip bit-exactly
-    through repr-based JSON serialization."""
-    doc = {
-        "format": _CHECKPOINT_FORMAT,
-        "version": _CHECKPOINT_VERSION,
-        "fc1_widths": list(params.fc1_widths),
-        "fc2_widths": list(params.fc2_widths),
-        "head_widths": list(params.head_widths),
-        "scale": params.scale,
-        "seed": params.seed,
-        "scale_free": params.scale_free,
-        "arrays": [a.reshape(-1).tolist() for a in params_to_arrays(params)],
-    }
+def params_to_doc(params: EncoderParams) -> dict:
+    """The encoder block of a checkpoint document, which training
+    checkpoints embed; floats round-trip bit-exactly through repr-based
+    JSON serialization."""
+    return {"fc1_widths": list(params.fc1_widths),
+            "fc2_widths": list(params.fc2_widths),
+            "head_widths": list(params.head_widths), "scale": params.scale,
+            "seed": params.seed, "scale_free": params.scale_free,
+            "arrays": [a.reshape(-1).tolist() for a in params_to_arrays(params)]}
+
+
+def arrays_from_doc(doc: dict, key: str,
+                    template: EncoderParams) -> list[np.ndarray]:
+    """The flat arrays under ``key``, shaped like ``template``'s."""
+    flats = [np.asarray(a, dtype=np.float64) for a in doc[key]]
+    shapes = [a.shape for a in params_to_arrays(template)]
+    if len(flats) != len(shapes):
+        raise SchemaError(f"checkpoint {key} does not match layout")
+    return [f.reshape(s) for f, s in zip(flats, shapes)]
+
+
+def params_from_doc(doc: dict) -> EncoderParams:
+    template = init_params(tuple(doc["fc1_widths"]), tuple(doc["fc2_widths"]),
+                           tuple(doc["head_widths"]), doc["scale"],
+                           seed=doc["seed"], scale_free=doc["scale_free"])
+    return arrays_to_params(arrays_from_doc(doc, "arrays", template), template)
+
+
+def write_checkpoint(doc: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
 
 
-def load_params(path) -> EncoderParams:
+def read_checkpoint(path, fmt: str, version: int) -> dict:
+    """A checkpoint document, after checking its format tag and version."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != _CHECKPOINT_FORMAT:
-        raise SchemaError(f"not an encoder checkpoint: {path}")
-    if doc.get("version") != _CHECKPOINT_VERSION:
+    if doc.get("format") != fmt:
+        raise SchemaError(f"not a {fmt} checkpoint: {path}")
+    if doc.get("version") != version:
         raise SchemaError(
             f"unsupported checkpoint version {doc.get('version')}")
-    template = init_params(tuple(doc["fc1_widths"]),
-                           tuple(doc["fc2_widths"]),
-                           tuple(doc["head_widths"]),
-                           doc["scale"], seed=doc["seed"],
-                           scale_free=doc["scale_free"])
-    flats = [np.asarray(a, dtype=np.float64) for a in doc["arrays"]]
-    shapes = [a.shape for a in params_to_arrays(template)]
-    if len(flats) != len(shapes):
-        raise SchemaError("checkpoint array count does not match layout")
-    arrays = [f.reshape(s) for f, s in zip(flats, shapes)]
-    return arrays_to_params(arrays, template)
+    return doc
+
+
+def save_params(params: EncoderParams, path) -> None:
+    write_checkpoint({"format": _CHECKPOINT_FORMAT,
+                      "version": _CHECKPOINT_VERSION, **params_to_doc(params)},
+                     path)
+
+
+def load_params(path) -> EncoderParams:
+    return params_from_doc(
+        read_checkpoint(path, _CHECKPOINT_FORMAT, _CHECKPOINT_VERSION))

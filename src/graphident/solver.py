@@ -90,8 +90,8 @@ def dual_step(y: np.ndarray, op: DegreeOperator, alpha: float, beta: float,
               lipschitz: float, state: DualState
               ) -> tuple[np.ndarray, DualState]:
     """One iteration of the dual method; returns the primal iterate and the
-    advanced state.  Kept as a free function so the training unroll can mirror
-    it operation for operation."""
+    advanced state.  The training unroll runs it and differentiates it with
+    ``dual_step_vjp``."""
     w = np.maximum(0.0, (op.pair_sum(state.omega) - 2.0 * y) / (2.0 * beta))
     Sw = op.degree(w)
     z = Sw - lipschitz * state.omega
@@ -102,6 +102,42 @@ def dual_step(y: np.ndarray, op: DegreeOperator, alpha: float, beta: float,
     new_state = DualState(lam=lam, lam_prev=state.lam, omega=omega,
                           tau=tau_next, iteration=state.iteration + 1)
     return w, new_state
+
+
+def dual_step_vjp(y: np.ndarray, op: DegreeOperator, alpha: float,
+                  beta: float, lipschitz: float, state: DualState,
+                  w: np.ndarray, g_w, g_lam, g_omega) -> tuple:
+    """Reverse of ``dual_step`` from ``state``, whose primal iterate was
+    ``w``.  Given the adjoints of the step's outputs ``w``, ``lam`` and
+    ``omega`` (0.0 for none), returns the adjoints of its inputs ``y``,
+    ``alpha``, ``beta``, ``lipschitz``, ``state.omega`` and ``state.lam``.
+    The adjoint of ``beta`` covers its direct use only: the caller adds the
+    path through ``lipschitz`` = (n-1)/beta."""
+    Sw = op.degree(w)
+    z = Sw - lipschitz * state.omega
+    r = np.sqrt(z * z + 4.0 * alpha * lipschitz)
+    u = 0.5 * (z + r)
+    tau_next = (1.0 + np.sqrt(1.0 + 4.0 * state.tau * state.tau)) / 2.0
+    c = (state.tau - 1.0) / tau_next
+    # omega' = lam + c (lam - lam_prev)
+    g_lam = g_lam + (1.0 + c) * g_omega
+    g_lam_prev = -c * g_omega
+    # lam = omega - (Sw - u) / L, u = (z + r) / 2, r = sqrt(z^2 + 4 alpha L)
+    g_u = g_lam / lipschitz
+    g_q = g_u / (4.0 * r)
+    g_z = 0.5 * g_u + 2.0 * z * g_q
+    g_alpha = 4.0 * lipschitz * np.sum(g_q)
+    g_lipschitz = (np.sum(g_lam * (Sw - u)) / (lipschitz * lipschitz)
+                   + 4.0 * alpha * np.sum(g_q) - np.sum(g_z * state.omega))
+    # z = Sw - L omega
+    g_omega_in = g_lam - lipschitz * g_z
+    g_w = g_w + op.pair_sum(g_z - g_u)
+    # w = max(0, (S' omega - 2 y) / (2 beta)), which equals w where w > 0
+    g_v = g_w * (w > 0)
+    g_omega_in = g_omega_in + op.degree(g_v / (2.0 * beta))
+    g_beta = -np.sum(g_v * w) / beta
+    return (-g_v / beta, g_alpha, g_beta, g_lipschitz, g_omega_in,
+            g_lam_prev)
 
 
 def identify_graph(y: np.ndarray, n: int, cfg: SolverConfig) -> SolveResult:

@@ -2,8 +2,9 @@
 
 Each training step records the encoder forward pass once, on a fresh tape.
 An untaped presolve advances the solver's dual state from that recording's
-values; a truncated number of solver iterations is then recorded on the
-same tape, the loss is applied to the resulting edge weights, and the
+values; a truncated number of solver iterations then runs as one node on
+the same tape, whose VJP is the solver's reverse step swept back over the
+saved iterates.  The loss is applied to the resulting edge weights, and the
 gradient flows back into the encoder parameters.  The dual state persists
 across steps while the active sample stays the same (truncated unrolling)
 and is re-seeded whenever the sample changes.
@@ -12,7 +13,7 @@ and is re-seeded whenever the sample changes.
 from __future__ import annotations
 
 import csv
-import json
+import dataclasses
 import logging
 import time
 from dataclasses import dataclass
@@ -21,12 +22,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .datagen import SampleRecord, sample_smooth_signals, smooth_signal_root
-from .encoder import (EncoderParams, arrays_to_params, encode_on_tape,
-                      init_params, lift_params, params_to_arrays)
+from .encoder import (EncoderParams, arrays_from_doc, arrays_to_params,
+                      encode_on_tape, lift_params, params_from_doc,
+                      params_to_arrays, params_to_doc, read_checkpoint,
+                      write_checkpoint)
 from .errors import DimensionError, SchemaError, TrainStepError
 from .graphcore import (DegreeOperator, adjoint, devectorize,
                         half_vectorize, mae, nodes_from_edge_count)
-from .solver import DualState, dual_step, init_dual_state
+from .solver import DualState, dual_step, dual_step_vjp, init_dual_state
 
 log = logging.getLogger("graphident.training")
 
@@ -62,16 +65,7 @@ class TrainConfig:
             raise DimensionError("presolve iteration budget cannot be negative")
 
     def to_dict(self) -> dict:
-        return {"learning_rate": self.learning_rate, "beta1": self.beta1,
-                "beta2": self.beta2, "adam_eps": self.adam_eps,
-                "unroll_steps": self.unroll_steps,
-                "total_steps": self.total_steps,
-                "sample_refresh_period": self.sample_refresh_period,
-                "grad_clip": self.grad_clip,
-                "retry_budget": self.retry_budget,
-                "presolve_iters": self.presolve_iters,
-                "presolve_tol": self.presolve_tol,
-                "resample_windows": self.resample_windows, "seed": self.seed}
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -97,16 +91,9 @@ def init_train_state(params: EncoderParams) -> TrainState:
 def identification_loss(w: np.ndarray, w_hat: np.ndarray) -> float:
     """Sum of absolute weight errors plus the same for the symmetrized
     complement-redistribution graphs, which penalizes degenerate all-zero
-    solutions on sparse targets."""
-    w = np.asarray(w, dtype=np.float64)
-    w_hat = np.asarray(w_hat, dtype=np.float64)
-    if w.shape != w_hat.shape:
-        raise DimensionError(f"length mismatch: {w.shape} vs {w_hat.shape}")
-    n = nodes_from_edge_count(w.shape[0])
-    term = float(np.abs(w - w_hat).sum())
-    adj = half_vectorize(adjoint(devectorize(w, n)))
-    adj_hat = half_vectorize(adjoint(devectorize(w_hat, n)))
-    return term + float(np.abs(adj - adj_hat).sum())
+    solutions on sparse targets: ``loss_on_tape`` on an unrecorded tape."""
+    w = ad.Tape(record=False).leaf(w)
+    return float(loss_on_tape(w, np.asarray(w_hat, dtype=np.float64)).value)
 
 
 def _adjoint_vech_on_tape(w: ad.Var, op: DegreeOperator) -> ad.Var:
@@ -173,47 +160,44 @@ def record_encoder(X: np.ndarray, params: EncoderParams) -> EncoderRecording:
 
 def unroll(rec: EncoderRecording, op: DegreeOperator, unroll_steps: int,
            dual: DualState) -> UnrollResult:
-    """Record ``unroll_steps`` solver iterations from ``dual`` on the tape
-    of ``rec``, continuing after the encoder.
+    """Run ``unroll_steps`` solver iterations from ``dual`` and record them
+    as one node on the tape of ``rec``, after the encoder.
 
-    The iteration body mirrors ``solver.dual_step`` operation for operation,
-    so the forward values match a plain solve bit-for-bit given the same
-    starting state.
+    The forward pass is ``solver.dual_step`` itself, so ``w`` and
+    ``dual_next`` are those of a plain solve from the same state.  The
+    node keeps every step's input state and primal iterate; its VJP sweeps
+    ``solver.dual_step_vjp`` back over them to ``y``, ``alpha`` and
+    ``beta``.  The starting dual is a constant.
     """
-    tape, y, alpha, beta = rec.tape, rec.y, rec.alpha, rec.beta
-    lipschitz = ad.div(float(op.n - 1), beta)
-    omega = tape.leaf(dual.omega)
-    lam_prev = tape.leaf(dual.lam)
-    tau = dual.tau
-
-    w = None
+    if unroll_steps < 1:
+        raise DimensionError("need at least one unrolled iteration")
+    y, alpha, beta = rec.y.value, float(rec.alpha.value), float(rec.beta.value)
+    lipschitz = (op.n - 1) / beta
+    states, ws = [], []
     for k in range(unroll_steps):
-        w = ad.relu(ad.div(ad.sub(ad.pair_sum(omega, op), ad.scale(y, 2.0)),
-                           ad.scale(beta, 2.0)))
-        Sw = ad.degree(w, op)
-        z = ad.sub(Sw, ad.mul(lipschitz, omega))
-        u = ad.scale(ad.add(z, ad.sqrt(ad.add(ad.mul(z, z),
-                                              ad.mul(ad.scale(alpha, 4.0),
-                                                     lipschitz)))), 0.5)
-        lam = ad.sub(omega, ad.div(ad.sub(Sw, u), lipschitz))
-        tau_next = (1.0 + np.sqrt(1.0 + 4.0 * tau * tau)) / 2.0
-        omega = ad.add(lam, ad.scale(ad.sub(lam, lam_prev),
-                                     (tau - 1.0) / tau_next))
-        if not (np.all(np.isfinite(lam.value)) and np.all(np.isfinite(w.value))):
+        states.append(dual)
+        w, dual = dual_step(y, op, alpha, beta, lipschitz, dual)
+        if not (np.all(np.isfinite(dual.lam)) and np.all(np.isfinite(w))):
             raise TrainStepError(
                 f"non-finite solver iterate at unroll step {k}",
-                diagnostics={"unroll_step": k,
-                             "alpha": float(alpha.value),
-                             "beta": float(beta.value)})
-        lam_prev, tau = lam, tau_next
+                diagnostics={"unroll_step": k, "alpha": alpha, "beta": beta})
+        ws.append(w)
 
-    dual_next = DualState(lam=lam_prev.value.copy(),
-                          lam_prev=dual.lam.copy(),
-                          omega=omega.value.copy(),
-                          tau=tau,
-                          iteration=dual.iteration + unroll_steps)
-    return UnrollResult(tape=tape, w=w, param_leaves=rec.param_leaves, y=y,
-                        alpha=alpha, beta=beta, dual_next=dual_next)
+    def vjp(g):
+        g_w, g_lam, g_omega = g, 0.0, 0.0
+        g_y, g_alpha, g_beta, g_lipschitz = 0.0, 0.0, 0.0, 0.0
+        for state, w in zip(reversed(states), reversed(ws)):
+            gy, ga, gb, gl, g_omega, g_lam = dual_step_vjp(
+                y, op, alpha, beta, lipschitz, state, w, g_w, g_lam, g_omega)
+            g_w = 0.0
+            g_y, g_alpha = g_y + gy, g_alpha + ga
+            g_beta, g_lipschitz = g_beta + gb, g_lipschitz + gl
+        return g_y, g_alpha, g_beta - g_lipschitz * (op.n - 1) / (beta * beta)
+
+    w = ad.custom((rec.y, rec.alpha, rec.beta), ws[-1], vjp)
+    return UnrollResult(tape=rec.tape, w=w, param_leaves=rec.param_leaves,
+                        y=rec.y, alpha=rec.alpha, beta=rec.beta,
+                        dual_next=dual)
 
 
 def unrolled_identify(X: np.ndarray, params: EncoderParams,
@@ -399,7 +383,7 @@ def train(records: list[SampleRecord], cfg: TrainConfig,
                 # Rejected step: skip the dual-state advance too, but do not
                 # spin forever on one step.
                 seed = int(_step_rng(cfg.seed, step, 9).integers(2 ** 62))
-                new_state = replace_state_step(state, step + 1)
+                new_state = dataclasses.replace(state, step=step + 1)
                 new_state.dual = init_dual_state(n, seed)
             else:
                 new_state.dual = result.dual_next
@@ -423,57 +407,24 @@ def train(records: list[SampleRecord], cfg: TrainConfig,
     return state, metrics
 
 
-def replace_state_step(state: TrainState, step: int) -> TrainState:
-    return TrainState(params=state.params, adam_m=state.adam_m,
-                      adam_v=state.adam_v, step=step, dual=state.dual,
-                      sample_id=state.sample_id)
-
-
 # --- checkpointing -------------------------------------------------------------
 
 
 def save_train_state(state: TrainState, cfg: TrainConfig, path) -> None:
     """Encoder checkpoint plus Adam buffers and the step counter."""
-    params = state.params
-    doc = {
-        "format": _CHECKPOINT_FORMAT,
-        "version": _CHECKPOINT_VERSION,
-        "fc1_widths": list(params.fc1_widths),
-        "fc2_widths": list(params.fc2_widths),
-        "head_widths": list(params.head_widths),
-        "scale": params.scale,
-        "seed": params.seed,
-        "scale_free": params.scale_free,
-        "arrays": [a.reshape(-1).tolist() for a in params_to_arrays(params)],
+    write_checkpoint({
+        "format": _CHECKPOINT_FORMAT, "version": _CHECKPOINT_VERSION,
+        **params_to_doc(state.params),
         "adam_m": [a.reshape(-1).tolist() for a in state.adam_m],
         "adam_v": [a.reshape(-1).tolist() for a in state.adam_v],
-        "step": state.step,
-        "train_config": cfg.to_dict(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        "step": state.step, "train_config": cfg.to_dict()}, path)
 
 
 def load_train_state(path) -> tuple[TrainState, dict]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _CHECKPOINT_FORMAT:
-        raise SchemaError(f"not a training checkpoint: {path}")
-    if doc.get("version") != _CHECKPOINT_VERSION:
-        raise SchemaError(f"unsupported checkpoint version {doc.get('version')}")
-    template = init_params(tuple(doc["fc1_widths"]), tuple(doc["fc2_widths"]),
-                           tuple(doc["head_widths"]), doc["scale"],
-                           seed=doc["seed"], scale_free=doc["scale_free"])
-    shapes = [a.shape for a in params_to_arrays(template)]
-
-    def unflatten(key):
-        flats = [np.asarray(a, dtype=np.float64) for a in doc[key]]
-        if len(flats) != len(shapes):
-            raise SchemaError(f"checkpoint {key} does not match layout")
-        return [f.reshape(s) for f, s in zip(flats, shapes)]
-
-    params = arrays_to_params(unflatten("arrays"), template)
-    state = TrainState(params=params, adam_m=unflatten("adam_m"),
-                       adam_v=unflatten("adam_v"), step=int(doc["step"]))
+    doc = read_checkpoint(path, _CHECKPOINT_FORMAT, _CHECKPOINT_VERSION)
+    params = params_from_doc(doc)
+    state = TrainState(params=params,
+                       adam_m=arrays_from_doc(doc, "adam_m", params),
+                       adam_v=arrays_from_doc(doc, "adam_v", params),
+                       step=int(doc["step"]))
     return state, doc.get("train_config", {})

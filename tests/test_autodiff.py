@@ -128,6 +128,44 @@ class TestPrimitiveGradients:
               [rng.normal(size=5), rng.normal(size=10)])
 
 
+class TestDense:
+    @pytest.mark.parametrize("act", ["tanh", "linear"])
+    def test_gradient(self, act):
+        check(lambda v: ad.asum(ad.mul(ad.dense(v[0], v[1], v[2], act), v[3])),
+              [RNG.normal(size=(6, 3)), RNG.normal(size=(3, 4)),
+               RNG.normal(size=4), RNG.normal(size=(6, 4))])
+
+    @pytest.mark.parametrize("act", ["tanh", "linear"])
+    def test_bit_identical_to_the_chain(self, act):
+        h, W, b, r = (RNG.normal(size=(50, 3)), RNG.normal(size=(3, 5)),
+                      RNG.normal(size=5), RNG.normal(size=(50, 5)))
+
+        def run(layer):
+            tape = ad.Tape()
+            leaves = [tape.leaf(a) for a in (h, W, b)]
+            out = layer(*leaves)
+            grads = ad.backward(tape, ad.asum(ad.mul(out, r)))
+            return [out.value] + [grads[leaf] for leaf in leaves]
+
+        def chain(hv, Wv, bv):
+            z = ad.add(ad.matmul(hv, Wv), bv)
+            return ad.tanh(z) if act == "tanh" else z
+
+        fused = run(lambda hv, Wv, bv: ad.dense(hv, Wv, bv, act))
+        for a, c in zip(fused, run(chain)):
+            assert np.array_equal(a, c)
+
+    def test_rejects_bad_shapes_and_activation(self):
+        tape = ad.Tape()
+        h, W = tape.leaf(np.ones((4, 3))), tape.leaf(np.ones((3, 2)))
+        with pytest.raises(DimensionError):
+            ad.dense(h, W, tape.leaf(np.ones(3)))
+        with pytest.raises(DimensionError):
+            ad.dense(h, tape.leaf(np.ones((2, 2))), tape.leaf(np.ones(2)))
+        with pytest.raises(ValueError):
+            ad.dense(h, W, tape.leaf(np.ones(2)), "relu")
+
+
 class TestSubgradientConventions:
     def test_relu_at_kink_and_sides(self):
         tape = ad.Tape()
@@ -187,6 +225,19 @@ class TestBackward:
         x = tape.leaf(np.array([2.0]))
         out = ad.asum(ad.add(ad.mul(x, x), ad.scale(x, 3.0)))
         assert ad.backward(tape, out)[x].tolist() == [7.0]
+
+    def test_scalar_fan_in_of_three(self):
+        # Each use of the 0-d leaf hands back a 0-d gradient; all three
+        # must reach it, and the one g that add passes to both of its
+        # parents must not be changed by a later sum.
+        tape = ad.Tape()
+        x = tape.leaf(np.array(2.0))
+        y = ad.add(x, x)
+        out = ad.add(ad.mul(y, ad.exp(x)), ad.asum(ad.scale(x, 3.0)))
+        grads = ad.backward(tape, out)
+        expected = 2.0 * np.exp(2.0) + 4.0 * np.exp(2.0) + 3.0
+        assert float(grads[x]) == pytest.approx(expected, rel=1e-15)
+        assert float(grads[y]) == pytest.approx(np.exp(2.0), rel=1e-15)
 
     def test_shape_mismatch_raises(self):
         tape = ad.Tape()

@@ -14,11 +14,11 @@ from graphident.datagen import (FormationSpec, SampleRecord,
                                 sample_smooth_signals)
 from graphident.encoder import (arrays_to_params, encode, flocking_params,
                                 formation_params, params_to_arrays)
-from graphident.errors import DimensionError, SchemaError
+from graphident.errors import DimensionError, SchemaError, TrainStepError
 from graphident.graphcore import (DegreeOperator, build_sum_operator,
                                   half_vectorize, num_edges)
 from graphident.solver import (DualState, SolverConfig, dual_step,
-                               identify_graph, init_dual_state)
+                               dual_step_vjp, identify_graph, init_dual_state)
 
 
 def small_record(n=6, d=12, seed=0, p=0.4):
@@ -134,6 +134,203 @@ class TestUnrolledIdentify:
             fd = (float(lp.value) - float(lm.value)) / (2 * h)
             an = flat[pos]
             assert abs(an - fd) / (abs(an) + abs(fd) + 1e-10) <= 1e-3
+
+
+def unroll_op_by_op(rec, op, unroll_steps, dual):
+    """The unroll recorded operation by operation, mirroring ``dual_step``:
+    the reference for the gradients of the one-node unroll."""
+    y, alpha, beta = rec.y, rec.alpha, rec.beta
+    lipschitz = ad.div(float(op.n - 1), beta)
+    omega = rec.tape.leaf(dual.omega)
+    lam_prev = rec.tape.leaf(dual.lam)
+    tau = dual.tau
+    for _ in range(unroll_steps):
+        w = ad.relu(ad.div(ad.sub(ad.pair_sum(omega, op), ad.scale(y, 2.0)),
+                           ad.scale(beta, 2.0)))
+        Sw = ad.degree(w, op)
+        z = ad.sub(Sw, ad.mul(lipschitz, omega))
+        u = ad.scale(ad.add(z, ad.sqrt(ad.add(ad.mul(z, z),
+                                              ad.mul(ad.scale(alpha, 4.0),
+                                                     lipschitz)))), 0.5)
+        lam = ad.sub(omega, ad.div(ad.sub(Sw, u), lipschitz))
+        tau_next = (1.0 + np.sqrt(1.0 + 4.0 * tau * tau)) / 2.0
+        omega = ad.add(lam, ad.scale(ad.sub(lam, lam_prev),
+                                     (tau - 1.0) / tau_next))
+        lam_prev, tau = lam, tau_next
+    return w
+
+
+def reference_backward(tape, output):
+    """The reverse sweep that adds every gradient into a zeroed buffer:
+    the reference for ``ad.backward``'s accumulation."""
+    grads = [None] * len(tape.nodes)
+    grads[output.index] = np.ones_like(output.value)
+    for i in range(output.index, -1, -1):
+        node = tape.nodes[i]
+        if grads[i] is None or node.vjp is None:
+            continue
+        for parent, pg in zip(node.parents, node.vjp(grads[i])):
+            if grads[parent] is None:
+                grads[parent] = np.zeros_like(tape.nodes[parent].value)
+            grads[parent] += pg
+    return grads
+
+
+def unroll_case(kind):
+    if kind == "formation":
+        record = small_record(n=8, d=40, seed=3)
+        return record.X, record.W, formation_params(seed=5)
+    record = flocking_records()[1]
+    return record.X, record.W, flocking_params(seed=1)
+
+
+class TestUnrollNode:
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    @pytest.mark.parametrize("kind", ["formation", "flocking"])
+    def test_gradients_match_op_by_op(self, kind, warm):
+        X, W, params = unroll_case(kind)
+        n = X.shape[0]
+        op = DegreeOperator(n)
+        dual = None
+        if warm:
+            dual = tr._presolve(tr.record_encoder(X, params), op,
+                                init_dual_state(n, 7), tr.TrainConfig())
+        S = build_sum_operator(n)
+        w_hat = half_vectorize(W)
+
+        def gradients(res, w):
+            loss = tr.loss_on_tape(w, w_hat, S, S.T.copy())
+            grads = ad.backward(res.tape, loss)
+            return w.value, loss.value, [grads[leaf]
+                                         for leaf in res.param_leaves]
+
+        res = tr.unrolled_identify(X, params, 30, solver_seed=7, dual=dual)
+        w, loss, grads = gradients(res, res.w)
+        rec = tr.record_encoder(X, params)
+        ref_w, ref_loss, ref_grads = gradients(rec, unroll_op_by_op(
+            rec, op, 30, dual or init_dual_state(n, 7)))
+        assert np.array_equal(w, ref_w) and loss == ref_loss
+        scale = max(np.abs(g).max() for g in ref_grads)
+        assert scale > 0
+        for a, b in zip(grads, ref_grads):
+            assert np.abs(a - b).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", ["formation", "flocking"])
+    def test_backward_matches_accumulating_sweep(self, kind):
+        X, W, params = unroll_case(kind)
+        n = X.shape[0]
+        op = DegreeOperator(n)
+        rec = tr.record_encoder(X, params)
+        dual = tr._presolve(rec, op, init_dual_state(n, 2), tr.TrainConfig())
+        res = tr.unroll(rec, op, 30, dual)
+        loss = tr.loss_on_tape(res.w, half_vectorize(W))
+        grads = ad.backward(rec.tape, loss)
+        ref = reference_backward(rec.tape, loss)
+        for i, node in enumerate(rec.tape.nodes):
+            g = grads[ad.Var(rec.tape, i, node.value)]
+            assert g.shape == node.value.shape
+            assert np.array_equal(
+                g, np.zeros_like(node.value) if ref[i] is None else ref[i])
+
+    def test_dual_next_is_k_plain_steps(self):
+        X, _, params = unroll_case("formation")
+        n = X.shape[0]
+        op = DegreeOperator(n)
+        rec = tr.record_encoder(X, params)
+        alpha, beta = float(rec.alpha.value), float(rec.beta.value)
+        start = init_dual_state(n, 4)
+        res = tr.unroll(rec, op, 12, start)
+        state = start
+        for _ in range(12):
+            w, state = dual_step(rec.y.value, op, alpha, beta, (n - 1) / beta,
+                                 state)
+        assert np.array_equal(res.w.value, w)
+        nxt = res.dual_next
+        for a, b in ((nxt.lam, state.lam), (nxt.lam_prev, state.lam_prev),
+                     (nxt.omega, state.omega)):
+            assert np.array_equal(a, b)
+        assert (nxt.tau, nxt.iteration) == (state.tau, state.iteration)
+        assert nxt.iteration == 12
+        assert not np.array_equal(nxt.lam_prev, start.lam)
+
+    def test_non_finite_iterate_raises_from_the_node(self, monkeypatch):
+        X, _, params = unroll_case("formation")
+        n = X.shape[0]
+        rec = tr.record_encoder(X, params)
+        calls = []
+
+        def failing_third(*args):
+            w, dual = dual_step(*args)
+            calls.append(1)
+            if len(calls) == 3:
+                w = np.full_like(w, np.inf)
+            return w, dual
+
+        monkeypatch.setattr(tr, "dual_step", failing_third)
+        with pytest.raises(TrainStepError) as info:
+            tr.unroll(rec, DegreeOperator(n), 10, init_dual_state(n, 0))
+        assert info.value.diagnostics == {
+            "unroll_step": 2, "alpha": float(rec.alpha.value),
+            "beta": float(rec.beta.value)}
+        assert len(rec.tape.nodes) == rec.mark
+
+    def test_needs_one_step(self):
+        X, _, params = unroll_case("formation")
+        with pytest.raises(DimensionError):
+            tr.unrolled_identify(X, params, 0)
+
+    @pytest.mark.parametrize("steps", [1, 4])
+    def test_unroll_gradient_check(self, steps):
+        n = 5
+        op = DegreeOperator(n)
+        rng = np.random.default_rng(12)
+        dual = init_dual_state(n, 3)
+        weights = rng.normal(size=num_edges(n))
+
+        def build(leaves):
+            y, alpha, beta = leaves
+            rec = tr.EncoderRecording(tape=y.tape, param_leaves=[], y=y,
+                                      alpha=alpha, beta=beta,
+                                      mark=len(y.tape.nodes))
+            return ad.asum(ad.mul(tr.unroll(rec, op, steps, dual).w, weights))
+
+        report = ad.gradient_check(
+            build, [rng.uniform(0.0, 0.5, size=num_edges(n)), np.array(0.8),
+                    np.array(0.6)])
+        assert report.passed, f"max rel error {report.max_rel_error}"
+
+    def test_dual_step_vjp_gradient_check(self):
+        # One dual step as a node of (w, lam, omega), differentiated by
+        # dual_step_vjp in every input, L = (n-1)/beta included.
+        n = 5
+        op = DegreeOperator(n)
+        rng = np.random.default_rng(13)
+        weights = rng.normal(size=num_edges(n) + 2 * n)
+        tau = 1.7
+
+        def build(leaves):
+            y, alpha, beta, omega, lam = leaves
+            a, b = float(alpha.value), float(beta.value)
+            lipschitz = (n - 1) / b
+            state = DualState(lam.value, lam.value, omega.value, tau)
+            w, nxt = dual_step(y.value, op, a, b, lipschitz, state)
+            m = w.size
+
+            def vjp(g):
+                gy, ga, gb, gl, g_omega, g_lam = dual_step_vjp(
+                    y.value, op, a, b, lipschitz, state, w, g[:m],
+                    g[m:m + n], g[m + n:])
+                return gy, ga, gb - gl * (n - 1) / (b * b), g_omega, g_lam
+
+            out = ad.custom(leaves, np.concatenate([w, nxt.lam, nxt.omega]),
+                            vjp)
+            return ad.asum(ad.mul(out, weights))
+
+        report = ad.gradient_check(
+            build, [rng.uniform(0.0, 0.3, size=num_edges(n)), np.array(0.8),
+                    np.array(0.6), rng.uniform(0.5, 1.5, size=n),
+                    rng.uniform(0.5, 1.5, size=n)])
+        assert report.passed, f"max rel error {report.max_rel_error}"
 
 
 class TestAdam:
