@@ -7,10 +7,11 @@ carries its own value, so a tape may also run unrecorded
 nodes, and an intermediate is freed as soon as nothing refers to it.  Such
 a tape serves plain forward passes; ``backward`` refuses it.  The primitive
 set covers the encoder forward pass and the training loss.  Two hot
-chains are single nodes with hand-written VJPs: ``dense``, one fully
-connected layer, and the unrolled solve, which training records through
-``custom`` with the solver's own reverse step.  There is no checkpointing
-and no GPU path.  Everything is float64: downstream thresholds at 1e-5 make
+chains are single nodes with hand-written VJPs: ``mlp``, one fully
+connected stack, which runs its rows through every layer in cache-sized
+blocks, and the unrolled solve, which training records through ``custom``
+with the solver's own reverse step.  There is no checkpointing and no GPU
+path.  Everything is float64: downstream thresholds at 1e-5 make
 single precision risky.
 """
 
@@ -22,8 +23,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError
+from .graphcore import upper_indices
 
 _SQRT_GUARD = 1e-12
+# Rows per block of ``mlp``.  The widest encoder block, 8192 x 10 float64
+# values (640 KiB), stays in a 2 MiB L2 cache through every layer.
+_BLOCK_ROWS = 8192
 
 
 @dataclass
@@ -176,33 +181,83 @@ def matmul(a, b) -> Var:
     return a.tape._push(av @ bv, (a.index, b.index), vjp)
 
 
-def dense(h: Var, W: Var, b: Var, act: str = "tanh") -> Var:
-    """One node for ``act(h @ W + b)``, ``act`` "tanh" or "linear".  The
-    bias is added and tanh applied in place on the matmul output, and the
-    VJP runs the numpy operations of the chain matmul, add, tanh in the
-    same order, so values and gradients match that chain bit for bit."""
-    hv, Wv, bv = h.value, W.value, b.value
-    if hv.ndim != 2 or Wv.ndim != 2 or hv.shape[1] != Wv.shape[0] \
-            or bv.shape != (Wv.shape[1],):
-        raise DimensionError(
-            f"dense layer mismatch {hv.shape} @ {Wv.shape} + {bv.shape}")
-    if act not in ("tanh", "linear"):
-        raise ValueError(f"unknown activation {act!r}")
-    out = hv @ Wv
-    out += bv
-    if act == "tanh":
-        np.tanh(out, out=out)
+def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
+    """One node for a fully connected stack: ``h @ W + b`` per layer, then
+    tanh, or ``last`` ("tanh", "linear" or "sigmoid") after the last layer.
+
+    Rows run through every layer in cache-sized blocks; the bias is added
+    from a copy tiled to the block, one contiguous loop where a broadcast
+    add loops row by row.  Unrecorded, only the output is a full array.
+    The VJP sweeps the blocks back for the activation factor and
+    ``G @ W.T``, then forms ``h.T @ G`` and ``G.sum(axis=0)`` over all rows:
+    the per-layer chain's numpy operations, so it matches that chain bit
+    for bit."""
+    hv = h.value
+    Ws, bs = [W.value for W, _ in layers], [b.value for _, b in layers]
+    width = hv.shape[1] if hv.ndim == 2 else -1
+    for W, b in zip(Ws, bs):
+        if W.ndim != 2 or W.shape[0] != width or b.shape != (W.shape[1],):
+            raise DimensionError(
+                f"dense layer mismatch {hv.shape} @ {W.shape} + {b.shape}")
+        width = W.shape[1]
+    if not Ws:
+        raise DimensionError("mlp needs at least one layer")
+    if last not in ("tanh", "linear", "sigmoid"):
+        raise ValueError(f"unknown activation {last!r}")
+    acts, rows = ["tanh"] * (len(Ws) - 1) + [last], hv.shape[0]
+    block = max(1, min(rows, _BLOCK_ROWS))
+    # No block has one row unless ``rows`` is 1: numpy multiplies a single
+    # row through another BLAS routine, whose sums may round differently.
+    starts = list(range(0, rows, block))
+    if rows > 1 and rows % block == 1:
+        starts[-1] -= 1
+    blocks = list(zip(starts, starts[1:] + [rows]))
+    tiles = [np.full((block, b.size), b) for b in bs]
+    # Below the top layer, a recorded tape keeps a full array per layer, an
+    # unrecorded one a block buffer.  Outputs go as the ufuncs' positional
+    # third argument, which numpy parses faster than ``out=``.
+    outs = [np.empty((rows if h.tape.record else block, W.shape[1]))
+            for W in Ws[:-1]] + [np.empty((rows, width))]
+    for start, stop in blocks:
+        x = hv[start:stop]
+        for i, (W, act, buf) in enumerate(zip(Ws, acts, outs)):
+            lo = start if len(buf) == rows else 0
+            z = buf[lo:lo + stop - start]
+            np.matmul(x, W, z)
+            z += tiles[i][:stop - start]
+            if act == "tanh":
+                np.tanh(z, z)
+            elif act == "sigmoid":
+                z[...] = _sigmoid(z)
+            x = z
 
     def vjp(g):
-        if act == "tanh":
-            # g * (1 - out^2), in one buffer: fresh arrays of this size
-            # cost more in page faults than in arithmetic.
-            t = out * out
-            np.subtract(1.0, t, out=t)
-            g = np.multiply(g, t, out=t)
-        return (g @ Wv.T, hv.T @ g, g.sum(axis=0))
+        adj = [np.empty_like(o) for o in outs[:-1]]
+        adj.append(g if last == "linear" else np.empty_like(outs[-1]))
+        factor = [np.empty((block, o.shape[1])) for o in outs]
+        g_h = np.empty(hv.shape)
+        for start, stop in blocks:
+            src = g[start:stop]   # the gradient of the top layer's output
+            for i in range(len(Ws) - 1, -1, -1):
+                o, G = outs[i][start:stop], adj[i][start:stop]
+                t = factor[i][:stop - start]
+                if acts[i] == "tanh":
+                    np.multiply(o, o, t)
+                    np.subtract(1.0, t, t)
+                    np.multiply(src, t, G)
+                elif acts[i] == "sigmoid":
+                    np.multiply(src, o, G)
+                    np.subtract(1.0, o, t)
+                    G *= t
+                src = (adj[i - 1] if i else g_h)[start:stop]
+                np.matmul(G, Ws[i].T, src)
+        grads = [g_h]
+        for i, G in enumerate(adj):
+            grads += [(outs[i - 1] if i else hv).T @ G, G.sum(axis=0)]
+        return tuple(grads)
 
-    return h.tape._push(out, (h.index, W.index, b.index), vjp)
+    parents = [h.index] + [v.index for pair in layers for v in pair]
+    return h.tape._push(outs[-1], tuple(parents), vjp)
 
 
 def custom(parents: Sequence[Var], value, vjp) -> Var:
@@ -269,10 +324,13 @@ def tanh(a: Var) -> Var:
     return a.tape._push(out, (a.index,), lambda g: (g * (1.0 - out * out),))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Var) -> Var:
-    av = a.value
-    out = np.where(av >= 0, 1.0 / (1.0 + np.exp(-np.abs(av))),
-                   np.exp(-np.abs(av)) / (1.0 + np.exp(-np.abs(av))))
+    out = _sigmoid(a.value)
     return a.tape._push(out, (a.index,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -374,24 +432,26 @@ def vech_upper(a: Var) -> Var:
     M = a.value
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError("vech_upper expects a square matrix")
-    n = M.shape[0]
-    iu = np.triu_indices(n, k=1)
+    iu = upper_indices(M.shape[0])
 
     def vjp(g):
         full = np.zeros_like(M)
         full[iu] = g
         return (full,)
 
-    return a.tape._push(M[iu].copy(), (a.index,), vjp)
+    return a.tape._push(M[iu], (a.index,), vjp)
 
 
 class Gradients:
-    """Gradient lookup for every leaf recorded on a tape."""
+    """Gradient lookup for every node recorded on ``tape``."""
 
-    def __init__(self, grads: list):
+    def __init__(self, tape: Tape, grads: list):
+        self._tape = tape
         self._grads = grads
 
     def __getitem__(self, var: Var) -> np.ndarray:
+        if var.tape is not self._tape or var.index is None:
+            raise DimensionError("variable not recorded on the swept tape")
         g = self._grads[var.index]
         if g is None:
             return np.zeros_like(var.value)
@@ -418,7 +478,7 @@ def backward(tape: Tape, output: Var) -> Gradients:
             # and += on a numpy scalar rebinds instead of updating.
             old = grads[parent]
             grads[parent] = pg if old is None else old + pg
-    return Gradients(grads)
+    return Gradients(tape, grads)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InvariantError, SimulationError
-from .graphcore import laplacian
+from .graphcore import laplacian, upper_indices
 
 _EIG_ZERO = 1e-10
 _SPEED_LIMIT = 1e3
@@ -95,7 +95,7 @@ def sample_er_graph(n: int, p: float, seed: int) -> np.ndarray:
     """Unit-weight Erdos-Renyi adjacency: each unordered pair is an edge
     independently with probability p."""
     rng = np.random.default_rng(seed)
-    iu = np.triu_indices(n, k=1)
+    iu = upper_indices(n)
     edges = (rng.uniform(size=len(iu[0])) < p).astype(np.float64)
     W = np.zeros((n, n))
     W[iu] = edges

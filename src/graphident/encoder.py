@@ -47,7 +47,10 @@ held fixed instead.
 The forward pass is written once, on the autodiff tape.  Training records
 it (``encode_on_tape``) and differentiates through it; plain evaluation
 (``encode``) runs the same operations on an unrecorded tape, which computes
-the same values bit for bit and keeps no intermediates.
+the same values bit for bit and keeps no intermediates.  Each fully
+connected stack (fc1, fc2 and the two heads) is one ``ad.mlp`` node, which
+on an unrecorded tape holds one block of rows per layer, not the n * d
+rows of every layer.
 """
 
 from __future__ import annotations
@@ -213,17 +216,6 @@ def arrays_to_params(arrays: list[np.ndarray],
     raise DimensionError("too many arrays for this encoder layout")
 
 
-def _run_stack(h: ad.Var, stack_vars, last: str) -> ad.Var:
-    """Apply a fully connected stack, one ``ad.dense`` node per layer;
-    ``last`` names the final activation."""
-    for i, (W, b) in enumerate(stack_vars):
-        act = "tanh" if i < len(stack_vars) - 1 else last
-        h = ad.dense(h, W, b, "linear" if act == "sigmoid" else act)
-        if act == "sigmoid":
-            h = ad.sigmoid(h)
-    return h
-
-
 def _softplus(x: ad.Var) -> ad.Var:
     return ad.log(ad.add(ad.exp(x), 1.0))
 
@@ -278,7 +270,7 @@ def encode_on_tape(tape: ad.Tape, X: np.ndarray, stacks: dict,
 
     # One row per (node, time) state vector, node-major.
     batch = tape.leaf(X.transpose(0, 2, 1).reshape(n * d, s))
-    h = _run_stack(batch, stacks["fc1"], last="tanh")
+    h = ad.mlp(batch, stacks["fc1"], "tanh")
     feats = ad.reshape(h, (n, d))
 
     attention = ad.softmax_rows(
@@ -287,7 +279,7 @@ def encode_on_tape(tape: ad.Tape, X: np.ndarray, stacks: dict,
 
     if stacks["fc2"]:
         h2 = ad.reshape(mixed, (n * d, 1))
-        h2 = _run_stack(h2, stacks["fc2"], last="linear")
+        h2 = ad.mlp(h2, stacks["fc2"], "linear")
         features = ad.reshape(h2, (n, d))
     else:
         features = mixed
@@ -307,8 +299,8 @@ def encode_on_tape(tape: ad.Tape, X: np.ndarray, stacks: dict,
         stat = mean
     stat = ad.reshape(stat, (1, 1))
 
-    gate_theta = _run_stack(stat, stacks["head_theta"], last="sigmoid")
-    gate_delta = _run_stack(stat, stacks["head_delta"], last="sigmoid")
+    gate_theta = ad.mlp(stat, stacks["head_theta"], "sigmoid")
+    gate_delta = ad.mlp(stat, stacks["head_delta"], "sigmoid")
     theta = ad.exp(ad.reshape(
         ad.scale(ad.sub(ad.scale(gate_theta, 2.0), 1.0), params.scale), ()))
     log_delta = _soft_clip(

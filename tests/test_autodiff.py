@@ -128,42 +128,128 @@ class TestPrimitiveGradients:
               [rng.normal(size=5), rng.normal(size=10)])
 
 
+def chain_mlp(h, layers, last="tanh"):
+    """The per-layer chain that ``ad.mlp`` fuses: matmul, add, then tanh
+    (or ``last`` after the final layer) as separate primitives."""
+    for i, (W, b) in enumerate(layers):
+        h = ad.add(ad.matmul(h, W), b)
+        act = last if i == len(layers) - 1 else "tanh"
+        if act == "tanh":
+            h = ad.tanh(h)
+        elif act == "sigmoid":
+            h = ad.sigmoid(h)
+    return h
+
+
+def stack_arrays(rows, widths, rng):
+    arrays = [rng.normal(size=(rows, widths[0]))]
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        arrays += [rng.normal(size=(fan_in, fan_out)), rng.normal(size=fan_out)]
+    return arrays
+
+
+def value_and_grads(stack, arrays, last, r):
+    """The stack's value and the gradients of sum(out * r) in every input."""
+    tape = ad.Tape()
+    leaves = [tape.leaf(a) for a in arrays]
+    out = stack(leaves[0], list(zip(leaves[1::2], leaves[2::2])), last)
+    grads = ad.backward(tape, ad.asum(ad.mul(out, r)))
+    return [out.value] + [grads[leaf] for leaf in leaves]
+
+
 class TestDense:
+    """``ad.mlp`` with one layer is the dense layer ``act(h @ W + b)``."""
+
     @pytest.mark.parametrize("act", ["tanh", "linear"])
     def test_gradient(self, act):
-        check(lambda v: ad.asum(ad.mul(ad.dense(v[0], v[1], v[2], act), v[3])),
+        check(lambda v: ad.asum(ad.mul(ad.mlp(v[0], [(v[1], v[2])], act),
+                                       v[3])),
               [RNG.normal(size=(6, 3)), RNG.normal(size=(3, 4)),
                RNG.normal(size=4), RNG.normal(size=(6, 4))])
 
     @pytest.mark.parametrize("act", ["tanh", "linear"])
     def test_bit_identical_to_the_chain(self, act):
-        h, W, b, r = (RNG.normal(size=(50, 3)), RNG.normal(size=(3, 5)),
-                      RNG.normal(size=5), RNG.normal(size=(50, 5)))
-
-        def run(layer):
-            tape = ad.Tape()
-            leaves = [tape.leaf(a) for a in (h, W, b)]
-            out = layer(*leaves)
-            grads = ad.backward(tape, ad.asum(ad.mul(out, r)))
-            return [out.value] + [grads[leaf] for leaf in leaves]
-
-        def chain(hv, Wv, bv):
-            z = ad.add(ad.matmul(hv, Wv), bv)
-            return ad.tanh(z) if act == "tanh" else z
-
-        fused = run(lambda hv, Wv, bv: ad.dense(hv, Wv, bv, act))
-        for a, c in zip(fused, run(chain)):
+        arrays = stack_arrays(50, (3, 5), RNG)
+        r = RNG.normal(size=(50, 5))
+        for a, c in zip(value_and_grads(ad.mlp, arrays, act, r),
+                        value_and_grads(chain_mlp, arrays, act, r)):
             assert np.array_equal(a, c)
 
     def test_rejects_bad_shapes_and_activation(self):
         tape = ad.Tape()
         h, W = tape.leaf(np.ones((4, 3))), tape.leaf(np.ones((3, 2)))
         with pytest.raises(DimensionError):
-            ad.dense(h, W, tape.leaf(np.ones(3)))
+            ad.mlp(h, [(W, tape.leaf(np.ones(3)))])
         with pytest.raises(DimensionError):
-            ad.dense(h, tape.leaf(np.ones((2, 2))), tape.leaf(np.ones(2)))
+            ad.mlp(h, [(tape.leaf(np.ones((2, 2))), tape.leaf(np.ones(2)))])
+        with pytest.raises(DimensionError):
+            ad.mlp(h, [])
         with pytest.raises(ValueError):
-            ad.dense(h, W, tape.leaf(np.ones(2)), "relu")
+            ad.mlp(h, [(W, tape.leaf(np.ones(2)))], "relu")
+
+
+class TestMlp:
+    BLOCK = ad._BLOCK_ROWS
+
+    @pytest.mark.parametrize("last", ["tanh", "linear", "sigmoid"])
+    @pytest.mark.parametrize("rows", [1, 300, 2 * BLOCK, 2 * BLOCK + 1,
+                                      2 * BLOCK + 777])
+    def test_bit_identical_to_the_chain(self, rows, last):
+        # One row, less than a block, a multiple of the block, a one-row
+        # tail and a longer ragged tail, through the formation fc1 widths.
+        rng = np.random.default_rng(rows)
+        arrays = stack_arrays(rows, (2, 5, 10, 5, 1), rng)
+        r = rng.normal(size=(rows, 1))
+        for a, c in zip(value_and_grads(ad.mlp, arrays, last, r),
+                        value_and_grads(chain_mlp, arrays, last, r)):
+            assert np.array_equal(a, c)
+
+    @pytest.mark.parametrize("last", ["tanh", "linear", "sigmoid"])
+    def test_gradient(self, last):
+        def build(v):
+            out = ad.mlp(v[0], [(v[1], v[2]), (v[3], v[4])], last)
+            return ad.asum(ad.mul(out, v[5]))
+        rng = np.random.default_rng(5)
+        check(build, stack_arrays(7, (3, 4, 2), rng)
+              + [rng.normal(size=(7, 2))])
+
+    def test_unrecorded_tape_keeps_no_node(self):
+        rng = np.random.default_rng(6)
+        arrays = stack_arrays(self.BLOCK + 100, (2, 5, 1), rng)
+
+        def run(tape):
+            leaves = [tape.leaf(a) for a in arrays]
+            return ad.mlp(leaves[0], [(leaves[1], leaves[2]),
+                                      (leaves[3], leaves[4])])
+
+        plain = ad.Tape(record=False)
+        out = run(plain)
+        assert plain.nodes == []
+        assert np.array_equal(out.value, run(ad.Tape()).value)
+
+    def test_formation_training_tape_matches_the_chain(self, monkeypatch):
+        # The encoder gradients of one formation training step (n=20,
+        # d=2000: 40,000 rows through fc1 and fc2) equal those recorded
+        # through the per-layer chain.
+        from graphident import training
+        from graphident.datagen import sample_er_graph, sample_smooth_signals
+        from graphident.encoder import formation_params
+        from graphident.graphcore import half_vectorize
+
+        W = sample_er_graph(20, 0.2, 12)
+        X = sample_smooth_signals(W, 0.1, 2000, 13)
+
+        def grads():
+            res = training.unrolled_identify(X, formation_params(0), 30,
+                                             solver_seed=7)
+            loss = training.loss_on_tape(res.w, half_vectorize(W))
+            g = ad.backward(res.tape, loss)
+            return [g[leaf] for leaf in res.param_leaves]
+
+        fused = grads()
+        monkeypatch.setattr(ad, "mlp", chain_mlp)
+        for a, c in zip(fused, grads()):
+            assert np.array_equal(a, c)
 
 
 class TestSubgradientConventions:
@@ -264,6 +350,19 @@ class TestBackward:
         out = run(plain)
         assert plain.nodes == []
         assert np.array_equal(out.value, run(ad.Tape()).value)
+
+    def test_gradient_lookup_rejects_unrecorded_var(self):
+        tape = ad.Tape()
+        grads = ad.backward(tape, ad.asum(tape.leaf(np.ones(3))))
+        with pytest.raises(DimensionError):
+            grads[ad.Tape(record=False).leaf(np.ones(3))]
+
+    def test_gradient_lookup_rejects_var_of_another_tape(self):
+        tape, other = ad.Tape(), ad.Tape()
+        x = tape.leaf(np.ones(3))
+        grads = ad.backward(tape, ad.asum(x))
+        with pytest.raises(DimensionError):
+            grads[other.leaf(np.ones(3))]
 
     def test_backward_rejects_unrecorded_output(self):
         plain = ad.Tape(record=False)

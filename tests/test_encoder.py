@@ -106,12 +106,14 @@ class TestEncode:
 
     @pytest.mark.parametrize("make_params",
                              [enc.formation_params, enc.flocking_params])
-    @pytest.mark.parametrize("n", [2, 7, 30])
-    def test_matches_recorded_pass(self, make_params, n):
+    @pytest.mark.parametrize("n, d", [(2, 9), (7, 9), (30, 9), (30, 700)],
+                             ids=["2", "7", "30", "30x700"])
+    def test_matches_recorded_pass(self, make_params, n, d):
         # encode runs unrecorded; its values are the recorded pass's, bit
-        # for bit.
+        # for bit.  30 x 700 rows span several row blocks of ``ad.mlp``
+        # and a ragged tail.
         params = make_params(seed=n)
-        X = RNG.normal(size=(n, 2, 9))
+        X = RNG.normal(size=(n, 2, d))
         out = enc.encode(X, params)
         tape = ad.Tape()
         stacks, _ = enc.lift_params(tape, params)

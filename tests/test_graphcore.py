@@ -10,7 +10,8 @@ from graphident.graphcore import (DegreeOperator, EdgeRecovery, adjoint,
                                   devectorize, distance_matrix,
                                   edge_density, edge_recovery,
                                   half_vectorize, laplacian, mae, num_edges,
-                                  total_variation, total_variation_nd)
+                                  total_variation, total_variation_nd,
+                                  upper_indices)
 
 
 def random_adjacency(n, rng, density=0.5):
@@ -76,6 +77,23 @@ class TestSumOperator:
     def test_rejects_small_n(self):
         with pytest.raises(DimensionError):
             build_sum_operator(1)
+
+
+class TestUpperIndices:
+    @pytest.mark.parametrize("n", [1, 2, 5, 200])
+    def test_equal_triu_indices_and_read_only(self, n):
+        rows, cols = upper_indices(n)
+        expected = np.triu_indices(n, k=1)
+        assert np.array_equal(rows, expected[0])
+        assert np.array_equal(cols, expected[1])
+        assert upper_indices(n)[0] is rows
+        with pytest.raises(ValueError):
+            rows[...] = 0
+        with pytest.raises(ValueError):
+            cols[...] = 0
+
+    def test_cache_is_bounded(self):
+        assert upper_indices.cache_info().maxsize is not None
 
 
 class TestDegreeOperator:
