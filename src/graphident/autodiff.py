@@ -13,10 +13,21 @@ blocks, and the unrolled solve, which training records through ``custom``
 with the solver's own reverse step.  There is no checkpointing and no GPU
 path.  Everything is float64: downstream thresholds at 1e-5 make
 single precision risky.
+
+A recorded ``mlp`` takes its full-size arrays from a small pool keyed by
+shape, so a training step reuses the previous step's pages instead of
+faulting fresh ones in.  A pooled array goes out again only when nothing
+refers to it: a numpy view refers to the array that owns its memory, so
+every value, view, gradient and node built on it counts.  Unrecorded tapes
+do not pool: plain encoding shows no fault churn, and a pool would keep
+identification's largest arrays resident.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -29,6 +40,12 @@ _SQRT_GUARD = 1e-12
 # Rows per block of ``mlp``.  The widest encoder block, 8192 x 10 float64
 # values (640 KiB), stays in a 2 MiB L2 cache through every layer.
 _BLOCK_ROWS = 8192
+# Full-size arrays that ``mlp`` reuses across recordings, by shape: a few
+# arrays for each of the most recently used shapes (see ``_pooled``).
+_POOL_SHAPES = 8
+_POOL_PER_SHAPE = 4
+_pool: OrderedDict[tuple[int, ...], list[np.ndarray]] = OrderedDict()
+_pool_lock = threading.Lock()
 
 
 @dataclass
@@ -86,6 +103,27 @@ class Var:
 
     def __repr__(self):
         return f"Var(index={self.index}, shape={self.shape})"
+
+
+def _pooled(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array of ``shape``: a pooled one that nothing
+    else refers to, if any.  Arrays shorter than a block come from malloc's
+    heap without page faults and are not pooled."""
+    if shape[0] < _BLOCK_ROWS:
+        return np.empty(shape)
+    with _pool_lock:
+        free = _pool.setdefault(shape, [])
+        _pool.move_to_end(shape)
+        if len(_pool) > _POOL_SHAPES:
+            _pool.popitem(last=False)
+        for a in free:
+            # Three references: the list, ``a`` and getrefcount's argument.
+            if sys.getrefcount(a) == 3:
+                return a
+        a = np.empty(shape)
+        if len(free) < _POOL_PER_SHAPE:
+            free.append(a)
+        return a
 
 
 def _wrap(tape: Tape, x) -> Var:
@@ -191,7 +229,14 @@ def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
     The VJP sweeps the blocks back for the activation factor and
     ``G @ W.T``, then forms ``h.T @ G`` and ``G.sum(axis=0)`` over all rows:
     the per-layer chain's numpy operations, so it matches that chain bit
-    for bit."""
+    for bit.
+
+    On a recorded tape, each layer's output, each layer's adjoint and the
+    input's adjoint come from ``_pooled``: the next recording of the same
+    shapes reuses them once this one's values and gradients are gone.  An
+    unrecorded tape keeps ``np.empty``: plain encoding makes only its output
+    full size and shows no fault churn, and pooling would keep its largest
+    arrays resident between calls."""
     hv = h.value
     Ws, bs = [W.value for W, _ in layers], [b.value for _, b in layers]
     width = hv.shape[1] if hv.ndim == 2 else -1
@@ -216,8 +261,10 @@ def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
     # Below the top layer, a recorded tape keeps a full array per layer, an
     # unrecorded one a block buffer.  Outputs go as the ufuncs' positional
     # third argument, which numpy parses faster than ``out=``.
-    outs = [np.empty((rows if h.tape.record else block, W.shape[1]))
-            for W in Ws[:-1]] + [np.empty((rows, width))]
+    record = h.tape.record
+    new = _pooled if record else np.empty
+    outs = [new((rows if record else block, W.shape[1]))
+            for W in Ws[:-1]] + [new((rows, width))]
     for start, stop in blocks:
         x = hv[start:stop]
         for i, (W, act, buf) in enumerate(zip(Ws, acts, outs)):
@@ -232,10 +279,10 @@ def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
             x = z
 
     def vjp(g):
-        adj = [np.empty_like(o) for o in outs[:-1]]
-        adj.append(g if last == "linear" else np.empty_like(outs[-1]))
+        adj = [_pooled(o.shape) for o in outs[:-1]]
+        adj.append(g if last == "linear" else _pooled(outs[-1].shape))
         factor = [np.empty((block, o.shape[1])) for o in outs]
-        g_h = np.empty(hv.shape)
+        g_h = _pooled(hv.shape)
         for start, stop in blocks:
             src = g[start:stop]   # the gradient of the top layer's output
             for i in range(len(Ws) - 1, -1, -1):

@@ -63,6 +63,10 @@ class TrainConfig:
             raise DimensionError("need at least one unrolled iteration")
         if self.presolve_iters < 0:
             raise DimensionError("presolve iteration budget cannot be negative")
+        if self.sample_refresh_period < 1:
+            raise DimensionError("sample refresh period must be at least one step")
+        if self.retry_budget < 0:
+            raise DimensionError("retry budget cannot be negative")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -401,6 +405,9 @@ def train(records: list[SampleRecord], cfg: TrainConfig,
             metrics.append(row)
             if writer is not None:
                 writer.writerow(row)
+            # Free this step's tape before the next recording, so that the
+            # encoder's pooled arrays can be reused (``autodiff._pooled``).
+            del rec, result, loss_var, grads_all
     finally:
         if fh is not None:
             fh.close()

@@ -1,6 +1,11 @@
 """Autodiff engine tests: every primitive against central finite differences,
 plus the backward-pass contracts."""
 
+import sys
+import threading
+import weakref
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -250,6 +255,126 @@ class TestMlp:
         monkeypatch.setattr(ad, "mlp", chain_mlp)
         for a, c in zip(fused, grads()):
             assert np.array_equal(a, c)
+
+
+class TestArrayPool:
+    """``mlp`` on a recorded tape reuses its full-size arrays across
+    recordings, but never one that a value, view or gradient still uses."""
+
+    ROWS = ad._BLOCK_ROWS + 100
+
+    @pytest.fixture(autouse=True)
+    def empty_pool(self, monkeypatch):
+        monkeypatch.setattr(ad, "_pool", OrderedDict())
+
+    def record(self, seed, rows=ROWS):
+        rng = np.random.default_rng(seed)
+        tape = ad.Tape()
+        leaves = [tape.leaf(a) for a in stack_arrays(rows, (2, 5, 1), rng)]
+        out = ad.mlp(leaves[0], [(leaves[1], leaves[2]),
+                                 (leaves[3], leaves[4])])
+        loss = ad.asum(ad.mul(out, rng.normal(size=(rows, 1))))
+        return tape, leaves, out, loss
+
+    def test_older_values_views_and_gradients_survive(self):
+        tape, leaves, out, loss = self.record(1)
+        grads = ad.backward(tape, loss)
+        value, view = out.value, out.value.reshape(-1)[::3]
+        g_h = grads[leaves[0]]
+        kept = [value.copy(), view.copy(), g_h.copy()]
+        del tape, leaves, out, loss, grads
+        tape, _, _, loss = self.record(2)
+        ad.backward(tape, loss)
+        for a, b in zip([value, view, g_h], kept):
+            assert np.array_equal(a, b)
+
+    def test_backward_twice_gives_the_same_gradients(self):
+        tape, leaves, _, loss = self.record(3)
+        first = ad.backward(tape, loss)
+        first = [first[leaf] for leaf in leaves]
+        kept = [g.copy() for g in first]
+        second = ad.backward(tape, loss)
+        for a, b, c in zip(first, kept, (second[leaf] for leaf in leaves)):
+            assert np.array_equal(a, b)
+            assert np.array_equal(a, c)
+
+    def test_a_dropped_recording_is_reused(self):
+        # The formation encoder's fc1 node is the first (n*d, 1) node.
+        from graphident import training
+        from graphident.datagen import sample_er_graph, sample_smooth_signals
+        from graphident.encoder import formation_params
+
+        X = sample_smooth_signals(sample_er_graph(20, 0.2, 12), 0.1, 2000, 13)
+
+        def fc1_value():
+            rec = training.record_encoder(X, formation_params(0))
+            return next(node.value for node in rec.tape.nodes
+                        if node.value.shape == (20 * 2000, 1))
+
+        first = weakref.ref(fc1_value())
+        second = fc1_value()
+        assert first() is not None  # kept by the pool, not by the tape
+        assert np.shares_memory(first(), second)
+
+    def test_bounded_over_many_row_counts(self):
+        def within_bounds():
+            return (len(ad._pool) <= ad._POOL_SHAPES
+                    and all(len(free) <= ad._POOL_PER_SHAPE
+                            for free in ad._pool.values()))
+
+        for k in range(2 * ad._POOL_SHAPES):
+            tape, _, _, loss = self.record(k, self.ROWS + k)
+            ad.backward(tape, loss)
+        assert within_bounds()
+        # More recordings of one shape alive at once than the pool keeps.
+        alive = [self.record(k) for k in range(ad._POOL_PER_SHAPE + 2)]
+        assert within_bounds()
+        assert len(alive) == ad._POOL_PER_SHAPE + 2
+
+    def test_threads_never_share_an_array(self):
+        # Four threads (two cores here) record and sweep at once, each
+        # keeping its last two recordings; a pooled array handed to two
+        # of them would change one's values or gradients.
+        def run(seed, results):
+            kept = []
+            for k in range(6):
+                tape, leaves, out, loss = self.record(10 * seed + k)
+                grads = ad.backward(tape, loss)
+                kept = kept[-1:] + [(out.value, grads[leaves[0]])]
+                results.append([a.copy() for a in kept[-1]])
+            results.append(kept)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = [[] for _ in range(4)]
+            threads = [threading.Thread(target=run, args=(s, results[s]))
+                       for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for seed, res in enumerate(results):
+            *copies, kept = res
+            assert len(copies) == 6
+            for live, copied in zip(kept, copies[-2:]):
+                for a, b in zip(live, copied):
+                    assert np.array_equal(a, b)
+            tape, leaves, out, loss = self.record(10 * seed + 5)
+            assert np.array_equal(out.value, copies[-1][0])
+            assert np.array_equal(ad.backward(tape, loss)[leaves[0]],
+                                  copies[-1][1])
+
+    def test_unrecorded_encode_takes_nothing(self):
+        from graphident.datagen import sample_er_graph, sample_smooth_signals
+        from graphident.encoder import encode, formation_params
+
+        X = sample_smooth_signals(sample_er_graph(20, 0.2, 12), 0.1, 2000, 13)
+        encode(X, formation_params(0))
+        assert len(ad._pool) == 0
 
 
 class TestSubgradientConventions:

@@ -412,6 +412,19 @@ class TestTrainLoop:
             tr.train([], tr.TrainConfig(total_steps=1),
                      params=formation_params(0))
 
+    @pytest.mark.parametrize("period", [0, -3])
+    def test_sample_refresh_period_below_one_rejected(self, period):
+        # Flocking step 0 would otherwise divide by it.
+        with pytest.raises(DimensionError):
+            tr.TrainConfig(sample_refresh_period=period)
+        tr.TrainConfig(sample_refresh_period=1)
+
+    def test_negative_retry_budget_rejected(self):
+        # Otherwise a step would fail "after -1 retries" without an attempt.
+        with pytest.raises(DimensionError):
+            tr.TrainConfig(retry_budget=-1)
+        tr.TrainConfig(retry_budget=0)
+
     def test_flocking_sample_refresh(self):
         rng = np.random.default_rng(11)
         records = []
