@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .graphcore import upper_indices
+from .graphcore import distance_matrix, upper_indices
 
 _SQRT_GUARD = 1e-12
 # Rows per block of ``mlp``.  The widest encoder block, 8192 x 10 float64
@@ -453,17 +453,14 @@ def pairwise_sqdist(a: Var) -> Var:
 
     The diagonal is identically zero, so no gradient flows through it.
     Rows are centered first: distances do not change, and the Gram-matrix
-    expansion below then cancels far less when the rows sit close together.
+    expansion in ``graphcore.distance_matrix`` then cancels far less when
+    the rows sit close together.
     """
     X = a.value
     if X.ndim != 2:
         raise DimensionError("pairwise_sqdist expects a 2D array")
     X = X - X.mean(axis=0)
-    sq = np.einsum("ij,ij->i", X, X)
-    Y = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(Y, 0.0, out=Y)
-    np.fill_diagonal(Y, 0.0)
-    Y = (Y + Y.T) / 2.0
+    Y = distance_matrix(X)
 
     def vjp(g):
         G = g.copy()

@@ -14,6 +14,9 @@ closed form, which is what makes the iteration unrollable and
 differentiable, and needs S only through ``S w`` and ``S' lambda``.  Both
 run in index form (``graphcore.DegreeOperator``), O(n^2) per iteration.
 
+``advance`` is the one loop that runs the iteration under a stop rule; it
+serves ``identify_graph`` and training's presolve alike.
+
 ``reference_solve`` is a deliberately independent check: projected gradient
 descent with Armijo backtracking on the primal, sharing no code with the
 dual iteration; it multiplies by the dense ``build_sum_operator``.
@@ -140,31 +143,20 @@ def dual_step_vjp(y: np.ndarray, op: DegreeOperator, alpha: float,
             g_lam_prev)
 
 
-def identify_graph(y: np.ndarray, n: int, cfg: SolverConfig) -> SolveResult:
-    """Run the dual iteration until the relative multiplier step drops below
-    ``cfg.tol`` at a primal iterate that leaves no node isolated, or until
-    ``cfg.max_iters`` iterations have been spent.  The result carries the
-    primal objective and the isolated-node count of the returned weights, so
-    an infeasible point is flagged rather than passed off as a solution."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (num_edges(n),):
-        raise DimensionError(
-            f"distance vector has shape {y.shape}, expected ({num_edges(n)},)")
-    if np.min(y) < 0:
-        raise DimensionError("pairwise distances must be nonnegative")
-
-    op = DegreeOperator(n)
-    lipschitz = (n - 1) / cfg.beta
-    state = init_dual_state(n, cfg.seed)
-
-    w = np.zeros(num_edges(n))
+def advance(y: np.ndarray, op: DegreeOperator, alpha: float, beta: float,
+            state: DualState, max_iters: int, tol: float
+            ) -> tuple[np.ndarray, DualState, float, bool]:
+    """Run ``dual_step`` from ``state`` until the relative multiplier step
+    drops below ``tol`` at a primal iterate that leaves no node isolated, or
+    for ``max_iters`` iterations; returns that iterate, the state, the last
+    relative step and whether the rule was met.  A non-finite ``w`` makes
+    the same step's ``lam`` non-finite, which raises ``NumericalFailure``."""
+    lipschitz = (op.n - 1) / beta
+    w = np.zeros(num_edges(op.n))
     rel_step = np.inf
-    converged = False
-    iters = 0
-    for k in range(cfg.max_iters):
-        w, state = dual_step(y, op, cfg.alpha, cfg.beta, lipschitz, state)
-        iters = k + 1
-        if not (np.all(np.isfinite(state.lam)) and np.all(np.isfinite(w))):
+    for k in range(max_iters):
+        w, state = dual_step(y, op, alpha, beta, lipschitz, state)
+        if not np.all(np.isfinite(state.lam)):
             raise NumericalFailure(
                 f"non-finite iterate at iteration {k}", iteration=k)
         denom = np.linalg.norm(state.lam_prev)
@@ -172,12 +164,29 @@ def identify_graph(y: np.ndarray, n: int, cfg: SolverConfig) -> SolveResult:
         rel_step = step / denom if denom > 0 else np.inf
         # A small step alone is no convergence: with L = (n-1)/beta large,
         # the first steps of a solve that sits at w = 0 are already small.
-        if rel_step < cfg.tol and np.min(op.degree(w)) > 0:
-            converged = True
-            break
+        if rel_step < tol and np.min(op.degree(w)) > 0:
+            return w, state, float(rel_step), True
+    return w, state, float(rel_step), False
+
+
+def identify_graph(y: np.ndarray, n: int, cfg: SolverConfig) -> SolveResult:
+    """Solve with ``advance`` from the seeded start.  The result carries the
+    primal objective and the isolated-node count of the returned weights, so
+    an infeasible point is flagged rather than passed off as a solution."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (num_edges(n),):
+        raise DimensionError(
+            f"distance vector has shape {y.shape}, expected ({num_edges(n)},)")
+    if not np.all(np.isfinite(y)) or np.min(y) < 0:
+        raise DimensionError("distances must be finite and nonnegative")
+
+    op = DegreeOperator(n)
+    w, state, rel_step, converged = advance(
+        y, op, cfg.alpha, cfg.beta, init_dual_state(n, cfg.seed),
+        cfg.max_iters, cfg.tol)
     degrees = op.degree(w)
-    return SolveResult(w=w, iters_run=iters, converged=converged,
-                       final_relative_step=float(rel_step),
+    return SolveResult(w=w, iters_run=state.iteration, converged=converged,
+                       final_relative_step=rel_step,
                        objective=_objective(w, y, cfg, degrees),
                        isolated_nodes=int(np.count_nonzero(degrees <= 0)))
 

@@ -2,8 +2,9 @@
 
 Each training step records the encoder forward pass once, on a fresh tape.
 An untaped presolve advances the solver's dual state from that recording's
-values; a truncated number of solver iterations then runs as one node on
-the same tape, whose VJP is the solver's reverse step swept back over the
+values with ``solver.advance``, under the stop rule identification uses; a
+truncated number of solver iterations then runs as one node on the same
+tape, whose VJP is the solver's reverse step swept back over the
 saved iterates.  The loss is applied to the resulting edge weights, and the
 gradient flows back into the encoder parameters.  The dual state persists
 across steps while the active sample stays the same (truncated unrolling)
@@ -26,10 +27,12 @@ from .encoder import (EncoderParams, arrays_from_doc, arrays_to_params,
                       encode_on_tape, lift_params, params_from_doc,
                       params_to_arrays, params_to_doc, read_checkpoint,
                       write_checkpoint)
-from .errors import DimensionError, SchemaError, TrainStepError
+from .errors import (DimensionError, NumericalFailure, SchemaError,
+                     TrainStepError)
 from .graphcore import (DegreeOperator, adjoint, devectorize,
                         half_vectorize, mae, nodes_from_edge_count)
-from .solver import DualState, dual_step, dual_step_vjp, init_dual_state
+from .solver import (DualState, advance, dual_step, dual_step_vjp,
+                     init_dual_state)
 
 log = logging.getLogger("graphident.training")
 
@@ -39,20 +42,22 @@ _CHECKPOINT_VERSION = 2
 METRICS_COLUMNS = ("step", "loss", "mae", "alpha", "beta", "sample_id",
                    "wallclock_ms")
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+PRESOLVE_TOL = 1e-4
+# Re-seeded attempts after a step's first attempt fails.
+RETRY_BUDGET = 3
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     unroll_steps: int = 30
     total_steps: int = 10000
     sample_refresh_period: int = 500
     grad_clip: float | None = 10.0
-    retry_budget: int = 3
     presolve_iters: int = 300
-    presolve_tol: float = 1e-4
     resample_windows: bool = True
     seed: int = 0
 
@@ -65,11 +70,6 @@ class TrainConfig:
             raise DimensionError("presolve iteration budget cannot be negative")
         if self.sample_refresh_period < 1:
             raise DimensionError("sample refresh period must be at least one step")
-        if self.retry_budget < 0:
-            raise DimensionError("retry budget cannot be negative")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -233,12 +233,12 @@ def adam_update(state: TrainState, grads: list[np.ndarray],
     t = state.step + 1
     new_arrays, new_m, new_v = [], [], []
     for a, g, m, v in zip(arrays, grads, state.adam_m, state.adam_v):
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
         new_arrays.append(a - cfg.learning_rate * m_hat
-                          / (np.sqrt(v_hat) + cfg.adam_eps))
+                          / (np.sqrt(v_hat) + ADAM_EPS))
         new_m.append(m)
         new_v.append(v)
     return TrainState(params=arrays_to_params(new_arrays, state.params),
@@ -267,22 +267,16 @@ def _step_rng(seed: int, step: int, stream: int) -> np.random.Generator:
 
 def _presolve(rec: EncoderRecording, op: DegreeOperator, dual: DualState,
               cfg: TrainConfig) -> DualState:
-    """Advance the persistent dual state, untaped, until it tracks the
-    current window's solution; the taped unroll then differentiates the tail
-    of an (almost) converged solve, matching what evaluation runs.  The
-    solver input and regularizers are read from the step's one encoder
-    recording, so the encoder does not run again."""
-    y = rec.y.value
-    alpha, beta = float(rec.alpha.value), float(rec.beta.value)
-    lipschitz = (op.n - 1) / beta
-    for _ in range(cfg.presolve_iters):
-        _, dual = dual_step(y, op, alpha, beta, lipschitz, dual)
-        if not np.all(np.isfinite(dual.lam)):
-            raise TrainStepError("non-finite dual state during presolve")
-        denom = np.linalg.norm(dual.lam_prev)
-        if denom > 0 and (np.linalg.norm(dual.lam - dual.lam_prev) / denom
-                          < cfg.presolve_tol):
-            break
+    """Advance the persistent dual state, untaped, with ``solver.advance``
+    on the step's one encoder recording, so that the taped unroll
+    differentiates the tail of an (almost) converged solve, as evaluation
+    runs it.  A non-finite iterate raises ``TrainStepError`` for a retry."""
+    try:
+        _, dual, _, _ = advance(rec.y.value, op, float(rec.alpha.value),
+                                float(rec.beta.value), dual,
+                                cfg.presolve_iters, PRESOLVE_TOL)
+    except NumericalFailure as exc:
+        raise TrainStepError("non-finite dual state during presolve") from exc
     return dual
 
 
@@ -356,10 +350,9 @@ def train(records: list[SampleRecord], cfg: TrainConfig,
             w_hat = half_vectorize(record.W)
             rec = record_encoder(X, state.params)
             result = None
-            for attempt in range(cfg.retry_budget + 1):
+            for attempt in range(RETRY_BUDGET + 1):
                 try:
-                    if cfg.presolve_iters > 0:
-                        state.dual = _presolve(rec, op, state.dual, cfg)
+                    state.dual = _presolve(rec, op, state.dual, cfg)
                     result = unroll(rec, op, cfg.unroll_steps, state.dual)
                     break
                 except TrainStepError as exc:
@@ -373,7 +366,7 @@ def train(records: list[SampleRecord], cfg: TrainConfig,
                     state.dual = init_dual_state(n, seed)
             if result is None:
                 raise TrainStepError(
-                    f"step {step} failed after {cfg.retry_budget} retries",
+                    f"step {step} failed after {RETRY_BUDGET} retries",
                     step=step)
 
             loss_var = loss_on_tape(result.w, w_hat)
@@ -424,7 +417,7 @@ def save_train_state(state: TrainState, cfg: TrainConfig, path) -> None:
         **params_to_doc(state.params),
         "adam_m": [a.reshape(-1).tolist() for a in state.adam_m],
         "adam_v": [a.reshape(-1).tolist() for a in state.adam_v],
-        "step": state.step, "train_config": cfg.to_dict()}, path)
+        "step": state.step, "train_config": dataclasses.asdict(cfg)}, path)
 
 
 def load_train_state(path) -> tuple[TrainState, dict]:

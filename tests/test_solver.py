@@ -6,10 +6,10 @@ import pytest
 
 from graphident.datagen import (FormationSpec, generate_formation_sample,
                                 sample_er_graph, sample_smooth_signals)
-from graphident.errors import DimensionError
+from graphident.errors import DimensionError, NumericalFailure
 from graphident.graphcore import (DegreeOperator, devectorize,
                                   distance_matrix, half_vectorize, num_edges)
-from graphident.solver import (SolverConfig, dual_step,
+from graphident.solver import (SolverConfig, advance, dual_step,
                                identify_graph, init_dual_state, objective,
                                reference_solve)
 
@@ -65,6 +65,13 @@ class TestIdentifyGraph:
         with pytest.raises(DimensionError):
             identify_graph(-np.ones(6), 4, tight(1, 1))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_distances_rejected(self, bad):
+        y = np.ones(num_edges(5))
+        y[3] = bad
+        with pytest.raises(DimensionError):
+            identify_graph(y, 5, SolverConfig())
+
     def test_beta_monotonicity(self):
         # Doubling the quadratic weight strictly shrinks total edge mass.
         rng = np.random.default_rng(2)
@@ -91,6 +98,23 @@ class TestIdentifyGraph:
         assert np.allclose(w, w_manual, atol=1e-15)
         assert np.allclose(new_state.lam, lam_manual, atol=1e-15)
         assert new_state.tau == (1 + np.sqrt(5)) / 2
+
+
+class TestAdvance:
+    def test_non_finite_w_raises_at_its_iteration(self):
+        # An inf multiplier start makes the first primal iterate infinite;
+        # the same step's multiplier is then NaN, which ``advance`` checks.
+        n = 5
+        y = np.ones(num_edges(n))
+        state = init_dual_state(n, 0)
+        state.omega[2] = np.inf
+        with np.errstate(invalid="ignore"):
+            w, _ = dual_step(y, DegreeOperator(n), 0.2, 1e-4,
+                             (n - 1) / 1e-4, state)
+            assert not np.all(np.isfinite(w))
+            with pytest.raises(NumericalFailure) as info:
+                advance(y, DegreeOperator(n), 0.2, 1e-4, state, 10, 1e-5)
+        assert info.value.iteration == 0
 
 
 class TestSolveDiagnostics:

@@ -8,6 +8,7 @@ import pytest
 
 from graphident import autodiff as ad
 from graphident import encoder as enc
+from graphident import solver
 from graphident import training as tr
 from graphident.datagen import (FormationSpec, SampleRecord,
                                 generate_formation_sample, sample_er_graph,
@@ -16,7 +17,7 @@ from graphident.encoder import (arrays_to_params, encode, flocking_params,
                                 formation_params, params_to_arrays)
 from graphident.errors import DimensionError, SchemaError, TrainStepError
 from graphident.graphcore import (DegreeOperator, build_sum_operator,
-                                  half_vectorize, num_edges)
+                                  distance_matrix, half_vectorize, num_edges)
 from graphident.solver import (DualState, SolverConfig, dual_step,
                                dual_step_vjp, identify_graph, init_dual_state)
 
@@ -352,7 +353,7 @@ class TestAdam:
         arrays = params_to_arrays(state.params)
         grads = [np.full_like(a, 0.5) for a in arrays]
         new = tr.adam_update(state, grads, cfg)
-        expected_delta = -cfg.learning_rate * 0.5 / (0.5 + cfg.adam_eps)
+        expected_delta = -cfg.learning_rate * 0.5 / (0.5 + tr.ADAM_EPS)
         for a, b in zip(arrays, params_to_arrays(new.params)):
             assert np.allclose(b - a, expected_delta, atol=1e-12)
 
@@ -387,6 +388,26 @@ class TestAdam:
         assert tr.clip_gradients(grads, None) is grads
 
 
+class TestPresolve:
+    def test_spends_its_budget_rather_than_stop_at_an_isolating_iterate(self):
+        # On these raw distances at n=200 the first relative dual step is
+        # already below the tolerance while the iterate is still w = 0
+        # (test_solver's test_small_first_step_is_not_convergence).
+        W = sample_er_graph(200, 0.2, 1)
+        X = sample_smooth_signals(W, 0.1, 2000, 2)
+        tape = ad.Tape()
+        y, alpha, beta = (tape.leaf(v) for v in (
+            half_vectorize(distance_matrix(X[:, 0:1, :])), np.array(0.2),
+            np.array(1e-4)))
+        rec = tr.EncoderRecording(tape=tape, param_leaves=[], y=y,
+                                  alpha=alpha, beta=beta,
+                                  mark=len(tape.nodes))
+        cfg = tr.TrainConfig()
+        dual = tr._presolve(rec, DegreeOperator(200), init_dual_state(200, 0),
+                            cfg)
+        assert dual.iteration == cfg.presolve_iters
+
+
 class TestTrainLoop:
     def test_zero_learning_rate_freezes_params(self):
         rec = small_record()
@@ -418,12 +439,6 @@ class TestTrainLoop:
         with pytest.raises(DimensionError):
             tr.TrainConfig(sample_refresh_period=period)
         tr.TrainConfig(sample_refresh_period=1)
-
-    def test_negative_retry_budget_rejected(self):
-        # Otherwise a step would fail "after -1 retries" without an attempt.
-        with pytest.raises(DimensionError):
-            tr.TrainConfig(retry_budget=-1)
-        tr.TrainConfig(retry_budget=0)
 
     def test_flocking_sample_refresh(self):
         rng = np.random.default_rng(11)
@@ -484,11 +499,12 @@ def reference_train(records, cfg, params):
         y = half_vectorize(out.distances)
         dual = state.dual
         for _ in range(cfg.presolve_iters):
-            _, dual = dual_step(y, op, out.alpha, out.beta,
+            w, dual = dual_step(y, op, out.alpha, out.beta,
                                 (n - 1) / out.beta, dual)
             denom = np.linalg.norm(dual.lam_prev)
-            if denom > 0 and (np.linalg.norm(dual.lam - dual.lam_prev)
-                              / denom < cfg.presolve_tol):
+            if (denom > 0 and np.linalg.norm(dual.lam - dual.lam_prev)
+                    / denom < tr.PRESOLVE_TOL
+                    and np.min(op.degree(w)) > 0):
                 break
         res = tr.unrolled_identify(record.X, state.params, cfg.unroll_steps,
                                    dual=dual)
@@ -571,7 +587,7 @@ class TestOneEncoderPassPerStep:
         if failing == "presolve":
             # The first presolve iteration returns a non-finite state.
             cfg = tr.TrainConfig(total_steps=1, unroll_steps=5, seed=6)
-            real_step = tr.dual_step
+            real_step = solver.dual_step
             calls = []
 
             def dual_step_failing_once(*args):
@@ -582,7 +598,7 @@ class TestOneEncoderPassPerStep:
                 calls.append(1)
                 return w, dual
 
-            monkeypatch.setattr(tr, "dual_step", dual_step_failing_once)
+            monkeypatch.setattr(solver, "dual_step", dual_step_failing_once)
             start = init_dual_state(n, 1)
         else:
             # No presolve: the unroll itself starts from a non-finite state.
@@ -592,6 +608,7 @@ class TestOneEncoderPassPerStep:
             start = DualState(nan, nan.copy(), nan.copy())
         state, seen = self.one_step(monkeypatch, record, cfg, start)
         assert caplog.text.count("failed") == 1
+        assert ("during presolve" in caplog.text) == (failing == "presolve")
         assert state.step == 1
         assert seen["encode_on_tape"] == 1 and seen["encode"] == 0
 

@@ -1,16 +1,24 @@
-"""Print one SHA-256 over the encoder's outputs and a few training steps.
+"""Print one SHA-256 per part of the pipeline, so two checkouts can be
+compared part by part.
 
-Two checkouts whose digests agree encode and train bit for bit alike on
-these inputs: ``encode`` at n=20 and n=200 (d=2000, formation params),
-then the losses and parameters after 15 formation steps (on the
-benchmark's desk graph: n=20, ER seed 12, d=2000) and 60 flocking steps
-(criterion 8's simulation).
+Two checkouts whose digests for a part agree compute that part bit for bit
+alike on these inputs:
+
+- ``encode``: ``encode`` at n = 20, 50, 100 and 200 (d=2000, formation
+  params, ER graphs with p=0.2).
+- ``solve``: ``identify_graph``'s weights, iteration count, converged flag
+  and objective on those graphs, once on the encoder's distances and
+  regularizers and once on raw distances with the default config.
+- ``formation``: losses and parameters after 15 formation steps on the
+  benchmark's desk graph (n=20, ER seed 12, d=2000).
+- ``flocking``: the same after 640 flocking steps on criterion 8's
+  simulation, past the window refresh at step 500.
 
     python tools/train_digest.py                   # this checkout
     python tools/train_digest.py --src OTHER/src   # another checkout
 
 BLAS thread counts can change the last bits of a matmul; compare digests
-taken under the same ``OPENBLAS_NUM_THREADS``.  It takes a few seconds.
+taken under the same ``OPENBLAS_NUM_THREADS``.  It takes about ten seconds.
 """
 
 from __future__ import annotations
@@ -20,8 +28,10 @@ import hashlib
 import sys
 from pathlib import Path
 
+PARTS = ("encode", "solve", "formation", "flocking")
 
-def digest(hasher) -> None:
+
+def digests() -> dict:
     # Imported here, once ``main`` has put ``--src`` first on the path.
     import numpy as np
 
@@ -31,27 +41,41 @@ def digest(hasher) -> None:
                                     sample_er_graph, sample_smooth_signals)
     from graphident.encoder import (encode, flocking_params,
                                     formation_params, params_to_arrays)
+    from graphident.graphcore import distance_matrix, half_vectorize
+    from graphident.solver import SolverConfig, identify_graph
 
-    def add(*arrays):
+    hashers = {part: hashlib.sha256() for part in PARTS}
+
+    def add(part, *arrays):
         for a in arrays:
-            hasher.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+            hashers[part].update(
+                np.ascontiguousarray(a, dtype=np.float64).tobytes())
 
     params = formation_params(0)
-    for n in (20, 200):
+    for n in (20, 50, 100, 200):
         W = sample_er_graph(n, 0.2, n)
-        out = encode(sample_smooth_signals(W, 0.1, 2000, n + 1), params)
-        add(out.features, out.distances, [out.alpha, out.beta, out.theta])
+        X = sample_smooth_signals(W, 0.1, 2000, n + 1)
+        out = encode(X, params)
+        add("encode", out.features, out.distances,
+            [out.alpha, out.beta, out.theta])
+        for y, cfg in ((half_vectorize(out.distances),
+                        SolverConfig(alpha=out.alpha, beta=out.beta)),
+                       (half_vectorize(distance_matrix(X)), SolverConfig())):
+            res = identify_graph(y, n, cfg)
+            add("solve", res.w, [res.iters_run, res.converged, res.objective])
 
     W = sample_er_graph(20, 0.2, 12)
     X = sample_smooth_signals(W, 0.1, 2000, 13)
-    runs = (([SampleRecord(X=X, W=W, meta={"kind": "formation"})],
+    runs = (("formation", [SampleRecord(X=X, W=W, meta={"kind": "formation"})],
              formation_params(0),
              training.TrainConfig(resample_windows=False, total_steps=15)),
-            (generate_flocking_windows(FlockingSpec(n=20, seed=0)),
-             flocking_params(0), training.TrainConfig(total_steps=60)))
-    for records, params0, cfg in runs:
+            ("flocking", generate_flocking_windows(FlockingSpec(n=20, seed=0)),
+             flocking_params(0), training.TrainConfig(total_steps=640)))
+    for part, records, params0, cfg in runs:
         state, metrics = training.train(records, cfg, params=params0)
-        add([row["loss"] for row in metrics], *params_to_arrays(state.params))
+        add(part, [row["loss"] for row in metrics],
+            *params_to_arrays(state.params))
+    return {part: h.hexdigest() for part, h in hashers.items()}
 
 
 def main(argv=None) -> int:
@@ -61,9 +85,8 @@ def main(argv=None) -> int:
                         help="the src/ directory to import graphident from")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
-    hasher = hashlib.sha256()
-    digest(hasher)
-    print(hasher.hexdigest())
+    for part, hexdigest in digests().items():
+        print(f"{part}: {hexdigest}")
     return 0
 
 
