@@ -14,9 +14,10 @@ with the solver's own reverse step.  There is no checkpointing and no GPU
 path.  Everything is float64: downstream thresholds at 1e-5 make
 single precision risky.
 
-A recorded ``mlp`` takes its full-size arrays from a small pool keyed by
-shape, so a training step reuses the previous step's pages instead of
-faulting fresh ones in.  A pooled array goes out again only when nothing
+A recorded ``mlp`` takes its layer outputs and its input's adjoint from a
+small pool keyed by shape, so a training step reuses the previous step's
+pages instead of faulting fresh ones in; its per-layer adjoints are
+block-sized scratch.  A pooled array goes out again only when nothing
 refers to it: a numpy view refers to the array that owns its memory, so
 every value, view, gradient and node built on it counts.  Unrecorded tapes
 do not pool: plain encoding shows no fault churn, and a pool would keep
@@ -107,8 +108,9 @@ class Var:
 
 def _pooled(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialised float64 array of ``shape``: a pooled one that nothing
-    else refers to, if any.  Arrays shorter than a block come from malloc's
-    heap without page faults and are not pooled."""
+    else refers to, if any.  ``mlp`` takes its recorded layer outputs and
+    its input's adjoint from here.  Arrays shorter than a block come from
+    malloc's heap without page faults and are not pooled."""
     if shape[0] < _BLOCK_ROWS:
         return np.empty(shape)
     with _pool_lock:
@@ -226,17 +228,21 @@ def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
     Rows run through every layer in cache-sized blocks; the bias is added
     from a copy tiled to the block, one contiguous loop where a broadcast
     add loops row by row.  Unrecorded, only the output is a full array.
-    The VJP sweeps the blocks back for the activation factor and
-    ``G @ W.T``, then forms ``h.T @ G`` and ``G.sum(axis=0)`` over all rows:
-    the per-layer chain's numpy operations, so it matches that chain bit
-    for bit.
+    The values match the per-layer chain's numpy operations bit for bit.
+    The VJP sweeps the same blocks back, and each block does all of its
+    gradient work while in cache: the activation factor, its shares
+    ``x.T @ G`` and ``G``'s column sums of each layer's weight and bias
+    gradients, and ``G @ W.T`` for the layer below.  The input's adjoint
+    matches the chain bit for bit.  The weight and bias gradients add up
+    the blocks' shares, so their last bits may differ from the chain's
+    sums over all rows.
 
-    On a recorded tape, each layer's output, each layer's adjoint and the
-    input's adjoint come from ``_pooled``: the next recording of the same
-    shapes reuses them once this one's values and gradients are gone.  An
-    unrecorded tape keeps ``np.empty``: plain encoding makes only its output
-    full size and shows no fault churn, and pooling would keep its largest
-    arrays resident between calls."""
+    On a recorded tape, each layer's output and the input's adjoint come
+    from ``_pooled``: the next recording of the same shapes reuses them
+    once this one's values and gradients are gone.  The per-layer adjoints
+    are block-sized scratch.  An unrecorded tape keeps ``np.empty``: plain
+    encoding makes only its output full size and shows no fault churn, and
+    pooling would keep its largest arrays resident between calls."""
     hv = h.value
     Ws, bs = [W.value for W, _ in layers], [b.value for _, b in layers]
     width = hv.shape[1] if hv.ndim == 2 else -1
@@ -279,15 +285,23 @@ def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
             x = z
 
     def vjp(g):
-        adj = [_pooled(o.shape) for o in outs[:-1]]
-        adj.append(g if last == "linear" else _pooled(outs[-1].shape))
-        factor = [np.empty((block, o.shape[1])) for o in outs]
+        # Block-sized scratch: each layer's adjoint and activation factor,
+        # and room for a contiguous copy of a block's ``G.T``, whose rows
+        # numpy sums pairwise.  Summed over axis 0 in place, ``G`` is added
+        # row by row: slower, and less accurate.
+        adj = [np.empty((block, W.shape[1])) for W in Ws]
+        factor = [np.empty((block, W.shape[1])) for W in Ws]
+        cols = np.empty(block * max(W.shape[1] for W in Ws))
+        # Each block's share of every weight and bias gradient.
+        part_Ws = [np.empty((len(blocks),) + W.shape) for W in Ws]
+        part_bs = [np.empty((len(blocks),) + b.shape) for b in bs]
         g_h = _pooled(hv.shape)
-        for start, stop in blocks:
+        for k, (start, stop) in enumerate(blocks):
+            m = stop - start
             src = g[start:stop]   # the gradient of the top layer's output
             for i in range(len(Ws) - 1, -1, -1):
-                o, G = outs[i][start:stop], adj[i][start:stop]
-                t = factor[i][:stop - start]
+                o, t = outs[i][start:stop], factor[i][:m]
+                G = src if acts[i] == "linear" else adj[i][:m]
                 if acts[i] == "tanh":
                     np.multiply(o, o, t)
                     np.subtract(1.0, t, t)
@@ -296,12 +310,15 @@ def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
                     np.multiply(src, o, G)
                     np.subtract(1.0, o, t)
                     G *= t
-                src = (adj[i - 1] if i else g_h)[start:stop]
+                x = (outs[i - 1] if i else hv)[start:stop]
+                np.matmul(x.T, G, part_Ws[i][k])
+                cT = cols[:G.size].reshape(G.shape[1], m)
+                np.copyto(cT, G.T)
+                np.add.reduce(cT, axis=1, out=part_bs[i][k])
+                src = adj[i - 1][:m] if i else g_h[start:stop]
                 np.matmul(G, Ws[i].T, src)
-        grads = [g_h]
-        for i, G in enumerate(adj):
-            grads += [(outs[i - 1] if i else hv).T @ G, G.sum(axis=0)]
-        return tuple(grads)
+        return (g_h, *(p.sum(axis=0) for pair in zip(part_Ws, part_bs)
+                       for p in pair))
 
     parents = [h.index] + [v.index for pair in layers for v in pair]
     return h.tape._push(outs[-1], tuple(parents), vjp)

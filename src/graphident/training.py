@@ -92,14 +92,6 @@ def init_train_state(params: EncoderParams) -> TrainState:
 # --- loss --------------------------------------------------------------------
 
 
-def identification_loss(w: np.ndarray, w_hat: np.ndarray) -> float:
-    """Sum of absolute weight errors plus the same for the symmetrized
-    complement-redistribution graphs, which penalizes degenerate all-zero
-    solutions on sparse targets: ``loss_on_tape`` on an unrecorded tape."""
-    w = ad.Tape(record=False).leaf(w)
-    return float(loss_on_tape(w, np.asarray(w_hat, dtype=np.float64)).value)
-
-
 def _adjoint_vech_on_tape(w: ad.Var, op: DegreeOperator) -> ad.Var:
     """Half-vectorized symmetrized complement graph of the identified weights.
 
@@ -115,10 +107,14 @@ def _adjoint_vech_on_tape(w: ad.Var, op: DegreeOperator) -> ad.Var:
 
 def loss_on_tape(w: ad.Var, w_hat: np.ndarray, S: np.ndarray | None = None,
                  St: np.ndarray | None = None) -> ad.Var:
-    """``identification_loss`` recorded on the tape of ``w``.  ``S`` and
-    ``St``, the dense degree operator and its transpose, are accepted for
-    callers that still pass them and are not read: the degrees come from
-    the index form of ``DegreeOperator``."""
+    """The identification loss of ``w`` against ``w_hat``, on the tape of
+    ``w``: the sum of absolute weight errors plus the same for the
+    symmetrized complement-redistribution graphs, which penalizes
+    degenerate all-zero solutions on sparse targets.  On an unrecorded tape
+    it gives the plain value.  ``S`` and ``St``, the dense degree operator
+    and its transpose, are accepted for callers that still pass them and
+    are not read: the degrees come from the index form of
+    ``DegreeOperator``."""
     op = DegreeOperator(nodes_from_edge_count(w.shape[0]))
     adj_hat = half_vectorize(adjoint(devectorize(w_hat, op.n)))
     weight_term = ad.asum(ad.absolute(ad.sub(w, w_hat)))

@@ -1,5 +1,6 @@
 """The measuring scripts in ``tools/`` run and print what they promise."""
 
+import json
 import re
 import subprocess
 import sys
@@ -28,3 +29,42 @@ def test_train_digest_prints_one_digest_per_part():
         r"encode: [0-9a-f]{64}\nsolve: [0-9a-f]{64}\n"
         r"formation: [0-9a-f]{64}\nflocking: [0-9a-f]{64}\n",
         done.stdout), done.stdout
+
+
+def test_bench_pairs_writes_medians_quartiles_and_wins(tmp_path):
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_pairs.py"),
+         str(ROOT), str(ROOT), "--workload", "train-formation",
+         "--pairs", "1", "--seconds", "0.1", "--first-seed", "7",
+         "--out", str(out)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    entry = json.loads(out.read_text())["workloads"]["train-formation"]
+    assert entry["seeds"] == [7]
+    assert entry["src_lines"]["parent"] == entry["src_lines"]["change"] > 0
+    assert all(run[side]["correct"] for run in entry["runs"]
+               for side in ("parent", "change"))
+    assert set(entry["metrics"]) == {"setup_s", "ops_per_s", "op_ms.p50",
+                                     "peak_rss_mib"}
+    for m in entry["metrics"].values():
+        for side in ("parent", "change"):
+            s = m[side]
+            assert s["q1"] <= s["median"] <= s["q3"]
+        assert m["wins"] in (0, 1)
+    assert done.stdout.count("\n") == 4, done.stdout
+
+
+def test_bench_pairs_refuses_checkouts_measured_differently(tmp_path):
+    other = tmp_path / "other"
+    (other / "bench").mkdir(parents=True)
+    (other / "BENCHMARK.json").write_text("{}\n")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_pairs.py"),
+         str(ROOT), str(other), "--workload", "train-formation",
+         "--pairs", "1", "--seconds", "0.1",
+         "--out", str(tmp_path / "bench.json")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "BENCHMARK.json" in done.stderr
+    assert not (tmp_path / "bench.json").exists()
