@@ -12,7 +12,6 @@ from .graphcore import (
     devectorize,
     distance_matrix,
     edge_density,
-    edge_pairs,
     edge_recovery,
     half_vectorize,
     laplacian,
@@ -41,7 +40,6 @@ __all__ = [
     "devectorize",
     "distance_matrix",
     "edge_density",
-    "edge_pairs",
     "edge_recovery",
     "half_vectorize",
     "laplacian",

@@ -292,7 +292,8 @@ def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
         adj = [np.empty((block, W.shape[1])) for W in Ws]
         factor = [np.empty((block, W.shape[1])) for W in Ws]
         cols = np.empty(block * max(W.shape[1] for W in Ws))
-        # Each block's share of every weight and bias gradient.
+        # Each block's share of every weight and bias gradient.  With one
+        # block, the share is the gradient: no sum over blocks follows.
         part_Ws = [np.empty((len(blocks),) + W.shape) for W in Ws]
         part_bs = [np.empty((len(blocks),) + b.shape) for b in bs]
         g_h = _pooled(hv.shape)
@@ -317,8 +318,9 @@ def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
                 np.add.reduce(cT, axis=1, out=part_bs[i][k])
                 src = adj[i - 1][:m] if i else g_h[start:stop]
                 np.matmul(G, Ws[i].T, src)
-        return (g_h, *(p.sum(axis=0) for pair in zip(part_Ws, part_bs)
-                       for p in pair))
+        one = len(blocks) == 1
+        return (g_h, *(p[0] if one else p.sum(axis=0)
+                       for pair in zip(part_Ws, part_bs) for p in pair))
 
     parents = [h.index] + [v.index for pair in layers for v in pair]
     return h.tape._push(outs[-1], tuple(parents), vjp)

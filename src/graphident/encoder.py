@@ -77,9 +77,6 @@ FLOCKING_SCALE_FREE = False
 _ZERO_DISTANCE = 1e-9
 _CLIP_KNEE = 0.1
 
-_CHECKPOINT_FORMAT = "graphident-encoder"
-_CHECKPOINT_VERSION = 2
-
 Layer = tuple[np.ndarray, np.ndarray]
 
 
@@ -372,14 +369,3 @@ def read_checkpoint(path, fmt: str, version: int) -> dict:
         raise SchemaError(
             f"unsupported checkpoint version {doc.get('version')}")
     return doc
-
-
-def save_params(params: EncoderParams, path) -> None:
-    write_checkpoint({"format": _CHECKPOINT_FORMAT,
-                      "version": _CHECKPOINT_VERSION, **params_to_doc(params)},
-                     path)
-
-
-def load_params(path) -> EncoderParams:
-    return params_from_doc(
-        read_checkpoint(path, _CHECKPOINT_FORMAT, _CHECKPOINT_VERSION))

@@ -41,11 +41,6 @@ def upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def edge_pairs(n: int) -> np.ndarray:
-    """(m, 2) array of node index pairs in strict-upper-triangle row-major order."""
-    return np.column_stack(upper_indices(n))
-
-
 def validate_adjacency(W: np.ndarray, atol: float = SYM_ATOL) -> np.ndarray:
     """Check adjacency invariants and return ``W`` as a float64 array."""
     W = np.asarray(W, dtype=np.float64)
@@ -108,8 +103,9 @@ class DegreeOperator:
         self.rows, self.cols = upper_indices(n)
 
     def degree(self, w: np.ndarray) -> np.ndarray:
-        return (np.bincount(self.rows, w, self.n)
-                + np.bincount(self.cols, w, self.n))
+        d = np.bincount(self.rows, w, self.n)
+        d += np.bincount(self.cols, w, self.n)
+        return d
 
     def pair_sum(self, lam: np.ndarray) -> np.ndarray:
         return lam[self.rows] + lam[self.cols]
@@ -125,11 +121,11 @@ def build_sum_operator(n: int) -> np.ndarray:
     """
     if n < 2:
         raise DimensionError(f"need at least 2 nodes, got n={n}")
-    pairs = edge_pairs(n)
-    S = np.zeros((n, pairs.shape[0]))
-    e = np.arange(pairs.shape[0])
-    S[pairs[:, 0], e] = 1.0
-    S[pairs[:, 1], e] = 1.0
+    rows, cols = upper_indices(n)
+    S = np.zeros((n, rows.size))
+    e = np.arange(rows.size)
+    S[rows, e] = 1.0
+    S[cols, e] = 1.0
     return S
 
 

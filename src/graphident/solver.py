@@ -15,7 +15,10 @@ differentiable, and needs S only through ``S w`` and ``S' lambda``.  Both
 run in index form (``graphcore.DegreeOperator``), O(n^2) per iteration.
 
 ``advance`` is the one loop that runs the iteration under a stop rule; it
-serves ``identify_graph`` and training's presolve alike.
+serves ``identify_graph`` and training's presolve alike.  ``dual_step_vjp``
+is the step's reverse, which training sweeps back over an unrolled run.  It
+reads the values the forward step computed and saved (``z``, ``r``,
+``Sw - u`` and the momentum factor), so the sweep recomputes none of them.
 
 ``reference_solve`` is a deliberately independent check: projected gradient
 descent with Armijo backtracking on the primal, sharing no code with the
@@ -24,6 +27,7 @@ dual iteration; it multiplies by the dense ``build_sum_operator``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,57 +94,85 @@ def init_dual_state(n: int, seed: int) -> DualState:
 
 
 def dual_step(y: np.ndarray, op: DegreeOperator, alpha: float, beta: float,
-              lipschitz: float, state: DualState
+              lipschitz: float, state: DualState, saved: list | None = None
               ) -> tuple[np.ndarray, DualState]:
     """One iteration of the dual method; returns the primal iterate and the
     advanced state.  The training unroll runs it and differentiates it with
-    ``dual_step_vjp``."""
-    w = np.maximum(0.0, (op.pair_sum(state.omega) - 2.0 * y) / (2.0 * beta))
+    ``dual_step_vjp``: given a list ``saved``, the step appends to it the
+    values that its reverse step reads, ``(z, r, Sw - u, c)``."""
+    w = op.pair_sum(state.omega)
+    w -= 2.0 * y
+    w /= 2.0 * beta
+    np.maximum(0.0, w, out=w)
     Sw = op.degree(w)
-    z = Sw - lipschitz * state.omega
-    u = 0.5 * (z + np.sqrt(z * z + 4.0 * alpha * lipschitz))
-    lam = state.omega - (Sw - u) / lipschitz
-    tau_next = (1.0 + np.sqrt(1.0 + 4.0 * state.tau * state.tau)) / 2.0
-    omega = lam + ((state.tau - 1.0) / tau_next) * (lam - state.lam)
-    new_state = DualState(lam=lam, lam_prev=state.lam, omega=omega,
-                          tau=tau_next, iteration=state.iteration + 1)
-    return w, new_state
+    z = lipschitz * state.omega
+    np.subtract(Sw, z, z)
+    r = z * z
+    r += 4.0 * alpha * lipschitz
+    np.sqrt(r, r)
+    u = z + r
+    u *= 0.5
+    # Sw - u, kept for the reverse step, then the multiplier step.
+    d = np.subtract(Sw, u, u)
+    lam = d / lipschitz
+    np.subtract(state.omega, lam, lam)
+    tau_next = (1.0 + math.sqrt(1.0 + 4.0 * state.tau * state.tau)) / 2.0
+    c = (state.tau - 1.0) / tau_next
+    omega = lam - state.lam
+    omega *= c
+    omega += lam
+    if saved is not None:
+        saved.append((z, r, d, c))
+    return w, DualState(lam=lam, lam_prev=state.lam, omega=omega,
+                        tau=tau_next, iteration=state.iteration + 1)
 
 
 def dual_step_vjp(y: np.ndarray, op: DegreeOperator, alpha: float,
                   beta: float, lipschitz: float, state: DualState,
-                  w: np.ndarray, g_w, g_lam, g_omega) -> tuple:
+                  w: np.ndarray, g_w, g_lam, g_omega,
+                  saved: tuple | None = None) -> tuple:
     """Reverse of ``dual_step`` from ``state``, whose primal iterate was
     ``w``.  Given the adjoints of the step's outputs ``w``, ``lam`` and
     ``omega`` (0.0 for none), returns the adjoints of its inputs ``y``,
     ``alpha``, ``beta``, ``lipschitz``, ``state.omega`` and ``state.lam``.
     The adjoint of ``beta`` covers its direct use only: the caller adds the
-    path through ``lipschitz`` = (n-1)/beta."""
-    Sw = op.degree(w)
-    z = Sw - lipschitz * state.omega
-    r = np.sqrt(z * z + 4.0 * alpha * lipschitz)
-    u = 0.5 * (z + r)
-    tau_next = (1.0 + np.sqrt(1.0 + 4.0 * state.tau * state.tau)) / 2.0
-    c = (state.tau - 1.0) / tau_next
+    path through ``lipschitz`` = (n-1)/beta.
+
+    Besides ``w``, the reverse step reads what the forward step computed:
+    ``z`` = Sw - L omega, ``r`` = sqrt(z^2 + 4 alpha L), ``Sw - u`` and the
+    momentum factor ``c``, the tuple that ``dual_step`` appends to its
+    ``saved`` list.  Without ``saved``, it reruns the step to get them."""
+    if saved is None:
+        keep = []
+        dual_step(y, op, alpha, beta, lipschitz, state, keep)
+        saved = keep[0]
+    z, r, d, c = saved
     # omega' = lam + c (lam - lam_prev)
     g_lam = g_lam + (1.0 + c) * g_omega
     g_lam_prev = -c * g_omega
     # lam = omega - (Sw - u) / L, u = (z + r) / 2, r = sqrt(z^2 + 4 alpha L)
     g_u = g_lam / lipschitz
-    g_q = g_u / (4.0 * r)
-    g_z = 0.5 * g_u + 2.0 * z * g_q
-    g_alpha = 4.0 * lipschitz * np.sum(g_q)
-    g_lipschitz = (np.sum(g_lam * (Sw - u)) / (lipschitz * lipschitz)
-                   + 4.0 * alpha * np.sum(g_q) - np.sum(g_z * state.omega))
+    g_q = 4.0 * r
+    np.divide(g_u, g_q, g_q)
+    g_z = 2.0 * z
+    g_z *= g_q
+    g_z += 0.5 * g_u
+    sum_q = g_q.sum()
+    g_alpha = 4.0 * lipschitz * sum_q
+    g_lipschitz = ((g_lam * d).sum() / (lipschitz * lipschitz)
+                   + 4.0 * alpha * sum_q - (g_z * state.omega).sum())
     # z = Sw - L omega
-    g_omega_in = g_lam - lipschitz * g_z
-    g_w = g_w + op.pair_sum(g_z - g_u)
+    g_omega_in = lipschitz * g_z
+    np.subtract(g_lam, g_omega_in, g_omega_in)
+    g_z -= g_u
+    g_v = op.pair_sum(g_z)
+    g_v += g_w
     # w = max(0, (S' omega - 2 y) / (2 beta)), which equals w where w > 0
-    g_v = g_w * (w > 0)
-    g_omega_in = g_omega_in + op.degree(g_v / (2.0 * beta))
-    g_beta = -np.sum(g_v * w) / beta
-    return (-g_v / beta, g_alpha, g_beta, g_lipschitz, g_omega_in,
-            g_lam_prev)
+    g_v *= w > 0
+    g_omega_in += op.degree(g_v / (2.0 * beta))
+    g_beta = -(g_v * w).sum() / beta
+    g_v /= -beta
+    return g_v, g_alpha, g_beta, g_lipschitz, g_omega_in, g_lam_prev
 
 
 def advance(y: np.ndarray, op: DegreeOperator, alpha: float, beta: float,
@@ -156,15 +188,17 @@ def advance(y: np.ndarray, op: DegreeOperator, alpha: float, beta: float,
     rel_step = np.inf
     for k in range(max_iters):
         w, state = dual_step(y, op, alpha, beta, lipschitz, state)
-        if not np.all(np.isfinite(state.lam)):
+        lam, lam_prev = state.lam, state.lam_prev
+        if not np.isfinite(lam).all():
             raise NumericalFailure(
                 f"non-finite iterate at iteration {k}", iteration=k)
-        denom = np.linalg.norm(state.lam_prev)
-        step = np.linalg.norm(state.lam - state.lam_prev)
-        rel_step = step / denom if denom > 0 else np.inf
+        # The 2-norms as ``np.linalg.norm`` takes them, bit for bit.
+        denom = math.sqrt(lam_prev @ lam_prev)
+        diff = lam - lam_prev
+        rel_step = math.sqrt(diff @ diff) / denom if denom > 0 else np.inf
         # A small step alone is no convergence: with L = (n-1)/beta large,
         # the first steps of a solve that sits at w = 0 are already small.
-        if rel_step < tol and np.min(op.degree(w)) > 0:
+        if rel_step < tol and op.degree(w).min() > 0:
             return w, state, float(rel_step), True
     return w, state, float(rel_step), False
 

@@ -165,19 +165,20 @@ def unroll(rec: EncoderRecording, op: DegreeOperator, unroll_steps: int,
 
     The forward pass is ``solver.dual_step`` itself, so ``w`` and
     ``dual_next`` are those of a plain solve from the same state.  The
-    node keeps every step's input state and primal iterate; its VJP sweeps
-    ``solver.dual_step_vjp`` back over them to ``y``, ``alpha`` and
-    ``beta``.  The starting dual is a constant.
+    node keeps every step's input state, primal iterate and the values the
+    step saved for its reverse; its VJP sweeps ``solver.dual_step_vjp``
+    back over them to ``y``, ``alpha`` and ``beta``, recomputing nothing.
+    The starting dual is a constant.
     """
     if unroll_steps < 1:
         raise DimensionError("need at least one unrolled iteration")
     y, alpha, beta = rec.y.value, float(rec.alpha.value), float(rec.beta.value)
     lipschitz = (op.n - 1) / beta
-    states, ws = [], []
+    states, ws, saved = [], [], []
     for k in range(unroll_steps):
         states.append(dual)
-        w, dual = dual_step(y, op, alpha, beta, lipschitz, dual)
-        if not (np.all(np.isfinite(dual.lam)) and np.all(np.isfinite(w))):
+        w, dual = dual_step(y, op, alpha, beta, lipschitz, dual, saved)
+        if not (np.isfinite(dual.lam).all() and np.isfinite(w).all()):
             raise TrainStepError(
                 f"non-finite solver iterate at unroll step {k}",
                 diagnostics={"unroll_step": k, "alpha": alpha, "beta": beta})
@@ -186,9 +187,11 @@ def unroll(rec: EncoderRecording, op: DegreeOperator, unroll_steps: int,
     def vjp(g):
         g_w, g_lam, g_omega = g, 0.0, 0.0
         g_y, g_alpha, g_beta, g_lipschitz = 0.0, 0.0, 0.0, 0.0
-        for state, w in zip(reversed(states), reversed(ws)):
+        for state, w, fwd in zip(reversed(states), reversed(ws),
+                                 reversed(saved)):
             gy, ga, gb, gl, g_omega, g_lam = dual_step_vjp(
-                y, op, alpha, beta, lipschitz, state, w, g_w, g_lam, g_omega)
+                y, op, alpha, beta, lipschitz, state, w, g_w, g_lam, g_omega,
+                fwd)
             g_w = 0.0
             g_y, g_alpha = g_y + gy, g_alpha + ga
             g_beta, g_lipschitz = g_beta + gb, g_lipschitz + gl

@@ -1,14 +1,12 @@
 """Encoder tests: architecture bookkeeping, output ranges, equivariance,
 and the checkpoint contract."""
 
-import json
-
 import numpy as np
 import pytest
 
 from graphident import autodiff as ad
 from graphident import encoder as enc
-from graphident.errors import DimensionError, SchemaError
+from graphident.errors import DimensionError
 
 RNG = np.random.default_rng(7)
 
@@ -132,35 +130,6 @@ class TestEncode:
 
 
 class TestCheckpoint:
-    def test_bit_exact_round_trip(self, tmp_path):
-        params = enc.formation_params(seed=8)
-        # Make values less structured than the init draw.
-        arrays = [a + RNG.normal(size=a.shape) for a in enc.params_to_arrays(params)]
-        params = enc.arrays_to_params(arrays, params)
-        path = tmp_path / "ck.json"
-        enc.save_params(params, path)
-        loaded = enc.load_params(path)
-        for a, b in zip(enc.params_to_arrays(params), enc.params_to_arrays(loaded)):
-            assert np.array_equal(a, b)
-        assert loaded.scale == params.scale
-        assert loaded.fc1_widths == params.fc1_widths
-
-    def test_rejects_wrong_format(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "something-else", "version": 1}')
-        with pytest.raises(SchemaError):
-            enc.load_params(path)
-
-    def test_rejects_wrong_version(self, tmp_path):
-        params = enc.formation_params(seed=9)
-        path = tmp_path / "ck.json"
-        enc.save_params(params, path)
-        doc = json.loads(path.read_text())
-        doc["version"] += 1
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError):
-            enc.load_params(path)
-
     def test_arrays_to_params_length_check(self):
         params = enc.formation_params(seed=10)
         arrays = enc.params_to_arrays(params)

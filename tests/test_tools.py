@@ -20,6 +20,18 @@ def test_step_faults_prints_time_and_faults_per_step():
         r"median \d+ minor faults per step\n", done.stdout), done.stdout
 
 
+def test_step_ab_prints_both_medians_and_the_paired_ratio():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "step_ab.py"), str(ROOT),
+         str(ROOT), "--workload", "flocking", "--steps", "3"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert re.fullmatch(
+        r"flocking steps: 3, parent median \d+\.\d{3} ms, "
+        r"change median \d+\.\d{3} ms, paired median ratio \d+\.\d{3}\n",
+        done.stdout), done.stdout
+
+
 def test_train_digest_prints_one_digest_per_part():
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "train_digest.py")],

@@ -166,6 +166,59 @@ def unroll_op_by_op(rec, op, unroll_steps, dual):
     return w
 
 
+def dual_step_vjp_recomputing(y, op, alpha, beta, lipschitz, state, w, g_w,
+                              g_lam, g_omega):
+    """``solver.dual_step_vjp`` computing the forward step's values afresh
+    from ``state`` and ``w``, in the same order: the bit-exact reference
+    for the reverse sweep, which reads them from the forward step."""
+    Sw = op.degree(w)
+    z = Sw - lipschitz * state.omega
+    r = np.sqrt(z * z + 4.0 * alpha * lipschitz)
+    u = 0.5 * (z + r)
+    tau_next = (1.0 + np.sqrt(1.0 + 4.0 * state.tau * state.tau)) / 2.0
+    c = (state.tau - 1.0) / tau_next
+    g_lam = g_lam + (1.0 + c) * g_omega
+    g_lam_prev = -c * g_omega
+    g_u = g_lam / lipschitz
+    g_q = g_u / (4.0 * r)
+    g_z = 0.5 * g_u + 2.0 * z * g_q
+    g_alpha = 4.0 * lipschitz * np.sum(g_q)
+    g_lipschitz = (np.sum(g_lam * (Sw - u)) / (lipschitz * lipschitz)
+                   + 4.0 * alpha * np.sum(g_q) - np.sum(g_z * state.omega))
+    g_omega_in = g_lam - lipschitz * g_z
+    g_w = g_w + op.pair_sum(g_z - g_u)
+    g_v = g_w * (w > 0)
+    g_omega_in = g_omega_in + op.degree(g_v / (2.0 * beta))
+    g_beta = -np.sum(g_v * w) / beta
+    return (-g_v / beta, g_alpha, g_beta, g_lipschitz, g_omega_in,
+            g_lam_prev)
+
+
+def unroll_recomputing(rec, op, unroll_steps, dual):
+    """The one-node unroll with its reverse sweep run by
+    ``dual_step_vjp_recomputing``."""
+    y, alpha, beta = rec.y.value, float(rec.alpha.value), float(rec.beta.value)
+    lipschitz = (op.n - 1) / beta
+    states, ws = [], []
+    for _ in range(unroll_steps):
+        states.append(dual)
+        w, dual = dual_step(y, op, alpha, beta, lipschitz, dual)
+        ws.append(w)
+
+    def vjp(g):
+        g_w, g_lam, g_omega = g, 0.0, 0.0
+        g_y, g_alpha, g_beta, g_lipschitz = 0.0, 0.0, 0.0, 0.0
+        for state, w in zip(reversed(states), reversed(ws)):
+            gy, ga, gb, gl, g_omega, g_lam = dual_step_vjp_recomputing(
+                y, op, alpha, beta, lipschitz, state, w, g_w, g_lam, g_omega)
+            g_w = 0.0
+            g_y, g_alpha = g_y + gy, g_alpha + ga
+            g_beta, g_lipschitz = g_beta + gb, g_lipschitz + gl
+        return g_y, g_alpha, g_beta - g_lipschitz * (op.n - 1) / (beta * beta)
+
+    return ad.custom((rec.y, rec.alpha, rec.beta), ws[-1], vjp)
+
+
 def reference_backward(tape, output):
     """The reverse sweep that adds every gradient into a zeroed buffer:
     the reference for ``ad.backward``'s accumulation."""
@@ -190,36 +243,55 @@ def unroll_case(kind):
     return record.X, record.W, flocking_params(seed=1)
 
 
+def unroll_against(reference, kind, warm):
+    """The unroll node's edge weights, loss and parameter gradients, and
+    the same from ``reference(rec, op, 30, dual)``, which records the 30
+    steps on the encoder recording ``rec`` and returns the weights."""
+    X, W, params = unroll_case(kind)
+    n = X.shape[0]
+    op = DegreeOperator(n)
+    dual = None
+    if warm:
+        dual = tr._presolve(tr.record_encoder(X, params), op,
+                            init_dual_state(n, 7), tr.TrainConfig())
+    S = build_sum_operator(n)
+    w_hat = half_vectorize(W)
+
+    def gradients(res, w):
+        loss = tr.loss_on_tape(w, w_hat, S, S.T.copy())
+        grads = ad.backward(res.tape, loss)
+        return w.value, loss.value, [grads[leaf]
+                                     for leaf in res.param_leaves]
+
+    res = tr.unrolled_identify(X, params, 30, solver_seed=7, dual=dual)
+    rec = tr.record_encoder(X, params)
+    return gradients(res, res.w), gradients(rec, reference(
+        rec, op, 30, dual or init_dual_state(n, 7)))
+
+
 class TestUnrollNode:
     @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
     @pytest.mark.parametrize("kind", ["formation", "flocking"])
     def test_gradients_match_op_by_op(self, kind, warm):
-        X, W, params = unroll_case(kind)
-        n = X.shape[0]
-        op = DegreeOperator(n)
-        dual = None
-        if warm:
-            dual = tr._presolve(tr.record_encoder(X, params), op,
-                                init_dual_state(n, 7), tr.TrainConfig())
-        S = build_sum_operator(n)
-        w_hat = half_vectorize(W)
-
-        def gradients(res, w):
-            loss = tr.loss_on_tape(w, w_hat, S, S.T.copy())
-            grads = ad.backward(res.tape, loss)
-            return w.value, loss.value, [grads[leaf]
-                                         for leaf in res.param_leaves]
-
-        res = tr.unrolled_identify(X, params, 30, solver_seed=7, dual=dual)
-        w, loss, grads = gradients(res, res.w)
-        rec = tr.record_encoder(X, params)
-        ref_w, ref_loss, ref_grads = gradients(rec, unroll_op_by_op(
-            rec, op, 30, dual or init_dual_state(n, 7)))
+        (w, loss, grads), (ref_w, ref_loss, ref_grads) = unroll_against(
+            unroll_op_by_op, kind, warm)
         assert np.array_equal(w, ref_w) and loss == ref_loss
         scale = max(np.abs(g).max() for g in ref_grads)
         assert scale > 0
         for a, b in zip(grads, ref_grads):
             assert np.abs(a - b).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    @pytest.mark.parametrize("kind", ["formation", "flocking"])
+    def test_gradients_equal_the_recomputing_sweep(self, kind, warm):
+        # The reverse sweep reads the forward step's values instead of
+        # recomputing them, and gets the same gradients bit for bit.
+        (w, loss, grads), (ref_w, ref_loss, ref_grads) = unroll_against(
+            unroll_recomputing, kind, warm)
+        assert np.array_equal(w, ref_w) and loss == ref_loss
+        assert max(np.abs(g).max() for g in ref_grads) > 0
+        for a, b in zip(grads, ref_grads):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("kind", ["formation", "flocking"])
     def test_backward_matches_accumulating_sweep(self, kind):
@@ -644,6 +716,12 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
         for a, b in zip(state.adam_m, loaded.adam_m):
             assert np.array_equal(a, b)
+
+    def test_rejects_wrong_format(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"format": "something-else", "version": 2}')
+        with pytest.raises(SchemaError):
+            tr.load_train_state(path)
 
     def test_rejects_wrong_version(self, tmp_path):
         rec = small_record()
