@@ -18,7 +18,6 @@ from .graphcore import (
     mae,
     num_edges,
     total_variation,
-    total_variation_nd,
 )
 from .solver import (
     DualState,
@@ -46,7 +45,6 @@ __all__ = [
     "mae",
     "num_edges",
     "total_variation",
-    "total_variation_nd",
     "DualState",
     "SolveResult",
     "SolverConfig",

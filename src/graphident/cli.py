@@ -11,10 +11,12 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
+import typing
 from pathlib import Path
 
 from . import dataio, evaluate, training
@@ -26,8 +28,17 @@ from .errors import (ConfigError, GraphIdentError, InvariantError,
                      NumericalFailure, OracleFailure, SchemaError,
                      SimulationError, TrainStepError)
 from .graphcore import edge_density
+from .solver import SolverConfig
 
 log = logging.getLogger("graphident.cli")
+
+# The sizes ``--full-scale`` sets; every other default is the dataclass's own.
+FULL_SCALE = {
+    FormationSpec: {"d": 10000},
+    FlockingSpec: {"n": 50},
+    evaluate.FormationGrid: {"n_values": (10, 20, 30, 40, 50, 60),
+                             "p_values": (0.1, 0.2, 0.4), "d": 10000},
+}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,26 +49,63 @@ EXIT_IO = 4
 def _load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return cfg
 
 
-def _field(cfg: dict, name: str, kind, default=None, required=False):
-    """Fetch a config field with a field-level error message."""
+def _field(cfg: dict, name: str, default, kind=None, nullable=False):
+    """Fetch a config field with a field-level error message.
+
+    The value must be of ``kind``, the type of ``default`` unless given.
+    Where a float is wanted a JSON integer passes, and where a tuple is
+    wanted a JSON array; a boolean passes only where a boolean is wanted,
+    and ``null`` only where ``nullable`` is set.
+    """
     if name not in cfg:
-        if required:
-            raise ConfigError(f"missing required config field {name!r}",
-                              field=name)
         return default
     value = cfg[name]
-    if kind is float and isinstance(value, int):
+    if value is None and nullable:
+        return None
+    kind = kind or type(default)
+    if kind is float and type(value) is int:
         value = float(value)
-    if kind is not None and not isinstance(value, kind):
+    json_kind = list if kind is tuple else kind
+    if (not isinstance(value, json_kind)
+            or (isinstance(value, bool) and kind is not bool)):
         raise ConfigError(
-            f"config field {name!r} must be {getattr(kind, '__name__', kind)}, "
+            f"config field {name!r} must be {json_kind.__name__}, "
             f"got {type(value).__name__}", field=name)
-    return value
+    return tuple(value) if kind is tuple else value
+
+
+def _spec(cls, cfg: dict, full_scale: bool = False, **flags):
+    """Build the dataclass ``cls`` from a JSON config.
+
+    Every field is read with ``_field`` against its default: the
+    dataclass's own, or the ``FULL_SCALE`` size under ``--full-scale``.
+    ``null`` passes only where the annotation admits None.  A flag that is
+    not None, such as ``seed``, overrides the config.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"a {cls.__name__} config must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    sizes = FULL_SCALE.get(cls, {}) if full_scale else {}
+    values = {}
+    for f in dataclasses.fields(cls):
+        if flags.get(f.name) is not None:
+            values[f.name] = flags[f.name]
+            continue
+        values[f.name] = _field(
+            cfg, f.name, sizes.get(f.name, f.default),
+            nullable=type(None) in typing.get_args(hints[f.name]))
+    try:
+        return cls(**values)
+    except InvariantError as exc:
+        raise ConfigError(f"invalid {cls.__name__}: {exc}") from exc
 
 
 def _ensure_out(path) -> Path:
@@ -76,18 +124,8 @@ def _print_summary(pairs):
 
 def cmd_gen_formation(args) -> int:
     cfg = _load_config(args.config)
-    try:
-        spec = FormationSpec(
-            n=_field(cfg, "n", int, 20),
-            p=_field(cfg, "p", float, 0.2),
-            sigma=_field(cfg, "sigma", float, 0.1),
-            d=_field(cfg, "d", int, 10000 if args.full_scale else 2000),
-            seed=args.seed if args.seed is not None
-            else _field(cfg, "seed", int, 0),
-        )
-    except InvariantError as exc:
-        raise ConfigError(f"invalid formation spec: {exc}") from exc
-    windows = _field(cfg, "windows", int, 1)
+    spec = _spec(FormationSpec, cfg, args.full_scale, seed=args.seed)
+    windows = _field(cfg, "windows", 1)
     if windows < 1:
         raise ConfigError("config field 'windows' must be at least 1",
                           field="windows")
@@ -111,42 +149,9 @@ def cmd_gen_formation(args) -> int:
     return EXIT_OK
 
 
-def _flocking_spec_from(cfg: dict, seed_override=None,
-                        full_scale: bool = False) -> FlockingSpec:
-    goal = cfg.get("goal", [0.0, 0.0])
-    if (not isinstance(goal, (list, tuple))) or len(goal) != 2:
-        raise ConfigError("config field 'goal' must be [x, y]", field="goal")
-    try:
-        return _build_flocking_spec(cfg, goal, seed_override, full_scale)
-    except InvariantError as exc:
-        raise ConfigError(f"invalid flocking spec: {exc}") from exc
-
-
-def _build_flocking_spec(cfg, goal, seed_override, full_scale) -> FlockingSpec:
-    return FlockingSpec(
-        n=_field(cfg, "n", int, 50 if full_scale else 20),
-        rho=_field(cfg, "rho", float, 0.7),
-        r_comm=_field(cfg, "r_comm", float, 1.2),
-        duration=_field(cfg, "duration", float, 6.0),
-        dt=_field(cfg, "dt", float, 0.04),
-        spawn_side=_field(cfg, "spawn_side", float, 5.0),
-        goal=(float(goal[0]), float(goal[1])),
-        eps=_field(cfg, "eps", float, 0.1),
-        a=_field(cfg, "a", float, 5.0),
-        b=_field(cfg, "b", float, 5.0),
-        h=_field(cfg, "h", float, 0.2),
-        c1=_field(cfg, "c1", float, 0.4),
-        c2=_field(cfg, "c2", float, 0.8),
-        d=_field(cfg, "d", int, 10),
-        seed=seed_override if seed_override is not None
-        else _field(cfg, "seed", int, 0),
-    )
-
-
 def cmd_gen_flocking(args) -> int:
     cfg = _load_config(args.config)
-    spec = _flocking_spec_from(cfg, seed_override=args.seed,
-                               full_scale=args.full_scale)
+    spec = _spec(FlockingSpec, cfg, args.full_scale, seed=args.seed)
     records = generate_flocking_windows(spec)
     densities = [edge_density(r.W) for r in records]
 
@@ -169,20 +174,7 @@ def cmd_train(args) -> int:
     records, header = dataio.read_dataset(args.dataset)
     kind = header.get("kind", "formation")
 
-    if "grad_clip" in cfg and cfg["grad_clip"] is None:
-        grad_clip = None
-    else:
-        grad_clip = _field(cfg, "grad_clip", (int, float), 10.0)
-    train_cfg = training.TrainConfig(
-        learning_rate=_field(cfg, "learning_rate", float, 0.001),
-        unroll_steps=_field(cfg, "unroll_steps", int, 30),
-        total_steps=_field(cfg, "total_steps", int, 10000),
-        sample_refresh_period=_field(cfg, "sample_refresh_period", int, 500),
-        grad_clip=grad_clip,
-        presolve_iters=_field(cfg, "presolve_iters", int, 300),
-        resample_windows=_field(cfg, "resample_windows", bool, True),
-        seed=args.seed if args.seed is not None else _field(cfg, "seed", int, 0),
-    )
+    train_cfg = _spec(training.TrainConfig, cfg, seed=args.seed)
 
     out = _ensure_out(args.out)
     metrics_path = out / "metrics.csv"
@@ -193,7 +185,7 @@ def cmd_train(args) -> int:
         params = None
     else:
         state = None
-        encoder_seed = _field(cfg, "encoder_seed", int, 0)
+        encoder_seed = _field(cfg, "encoder_seed", 0)
         if kind == "flocking":
             params = flocking_params(seed=encoder_seed)
         else:
@@ -215,32 +207,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _formation_grid_from(cfg: dict, args) -> evaluate.FormationGrid:
-    if args.full_scale:
-        defaults = dict(n_values=(10, 20, 30, 40, 50, 60),
-                        p_values=(0.1, 0.2, 0.4), d=10000, repetitions=20)
-    else:
-        defaults = dict(n_values=(10, 20, 30), p_values=(0.2,), d=2000,
-                        repetitions=20)
-    return evaluate.FormationGrid(
-        n_values=tuple(_field(cfg, "n_values", list, list(defaults["n_values"]))),
-        p_values=tuple(_field(cfg, "p_values", list, list(defaults["p_values"]))),
-        repetitions=_field(cfg, "repetitions", int, defaults["repetitions"]),
-        d=_field(cfg, "d", int, defaults["d"]),
-        sigma=_field(cfg, "sigma", float, 0.1),
-        seed=args.seed if args.seed is not None else _field(cfg, "seed", int, 0),
-        max_iters=_field(cfg, "max_iters", int, 2000),
-        tol=_field(cfg, "tol", float, 1e-5),
-        threshold=_field(cfg, "threshold", float, evaluate.RECOVERY_THRESHOLD),
-    )
-
-
 def _eval_common(args, fixed: tuple[float, float] | None) -> int:
     cfg = _load_config(args.config)
-    kind = _field(cfg, "kind", str, "formation")
+    kind = _field(cfg, "kind", "formation")
     params = None
     if fixed is None:
-        checkpoint = args.checkpoint or _field(cfg, "checkpoint", str)
+        checkpoint = args.checkpoint or _field(cfg, "checkpoint", None, str)
         if checkpoint is None:
             raise ConfigError("eval needs --checkpoint or a checkpoint field",
                               field="checkpoint")
@@ -248,25 +220,31 @@ def _eval_common(args, fixed: tuple[float, float] | None) -> int:
         params = state.params
     out = _ensure_out(args.out)
 
-    dataset = getattr(args, "dataset", None)
-    if dataset is not None:
-        # Evaluate the stored windows directly, one report row per dataset.
-        records, _ = dataio.read_dataset(dataset)
+    if args.dataset is not None or kind == "flocking":
+        if args.dataset is not None:
+            # Evaluate the stored windows directly, one report row per dataset.
+            specs, stored = None, [dataio.read_dataset(args.dataset)[0]]
+        else:
+            specs, stored = [_spec(FlockingSpec, sd, args.full_scale)
+                             for sd in _field(cfg, "configs", [{}])], None
         summary, detail = evaluate.flocking_sweep(
-            params=params, fixed=fixed,
-            max_iters=_field(cfg, "max_iters", int, 2000),
-            tol=_field(cfg, "tol", float, 1e-5), workers=args.workers,
-            records_by_config=[records])
+            specs, params=params, fixed=fixed,
+            max_iters=_field(cfg, "max_iters", SolverConfig.max_iters),
+            tol=_field(cfg, "tol", SolverConfig.tol), workers=args.workers,
+            records_by_config=stored)
         evaluate.write_csv(summary, out / "report.csv",
                            evaluate.FLOCKING_SUMMARY_COLUMNS)
         evaluate.write_csv(detail, out / "windows.csv",
                            evaluate.FLOCKING_DETAIL_COLUMNS)
-        _print_summary([("report", out / "report.csv"),
-                        ("mae", f"{summary[0]['mae_mean']:.6f}")])
-        return EXIT_OK
-
-    if kind == "formation":
-        grid = _formation_grid_from(cfg, args)
+        if stored is not None:
+            maes = [("mae", f"{summary[0]['mae_mean']:.6f}")]
+        else:
+            maes = [(f"mae[config={row['config']}]", f"{row['mae_mean']:.6f}")
+                    for row in summary]
+        _print_summary([("report", out / "report.csv")] + maes)
+    elif kind == "formation":
+        grid = _spec(evaluate.FormationGrid, cfg, args.full_scale,
+                     seed=args.seed)
         summary, detail, matrices = evaluate.formation_sweep(
             grid, params=params, fixed=fixed, workers=args.workers)
         evaluate.write_csv(summary, out / "report.csv",
@@ -282,21 +260,6 @@ def _eval_common(args, fixed: tuple[float, float] | None) -> int:
         _print_summary([("report", out / "report.csv")] + [
             (f"mae[n={row['n']},p={row['p']}]", f"{row['mae_mean']:.6f}")
             for row in summary])
-    elif kind == "flocking":
-        spec_dicts = _field(cfg, "configs", list, [{}])
-        specs = [_flocking_spec_from(sd, full_scale=args.full_scale)
-                 for sd in spec_dicts]
-        summary, detail = evaluate.flocking_sweep(
-            specs, params=params, fixed=fixed,
-            max_iters=_field(cfg, "max_iters", int, 2000),
-            tol=_field(cfg, "tol", float, 1e-5), workers=args.workers)
-        evaluate.write_csv(summary, out / "report.csv",
-                           evaluate.FLOCKING_SUMMARY_COLUMNS)
-        evaluate.write_csv(detail, out / "windows.csv",
-                           evaluate.FLOCKING_DETAIL_COLUMNS)
-        _print_summary([("report", out / "report.csv")] + [
-            (f"mae[config={row['config']}]", f"{row['mae_mean']:.6f}")
-            for row in summary])
     else:
         raise ConfigError(f"unknown eval kind {kind!r}", field="kind")
     return EXIT_OK
@@ -308,12 +271,14 @@ def cmd_eval(args) -> int:
 
 def cmd_baseline(args) -> int:
     cfg = _load_config(args.config)
-    alpha = args.alpha if args.alpha is not None else _field(cfg, "alpha", float)
-    beta = args.beta if args.beta is not None else _field(cfg, "beta", float)
+    alpha = (args.alpha if args.alpha is not None
+             else _field(cfg, "alpha", None, float))
+    beta = (args.beta if args.beta is not None
+            else _field(cfg, "beta", None, float))
     if alpha is None or beta is None:
         raise ConfigError("baseline needs alpha and beta (flags or config)",
                           field="alpha")
-    return _eval_common(args, fixed=(float(alpha), float(beta)))
+    return _eval_common(args, fixed=(alpha, beta))
 
 
 # --- entry point -----------------------------------------------------------------
@@ -325,48 +290,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graph topology identification from node trajectories")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=False, checkpoint=False, alpha_beta=False):
+    def common(p):
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker threads for sweeps")
         p.add_argument("--full-scale", action="store_true",
                        help="full-scale experiment defaults instead of desk-scale")
-        if dataset:
-            p.add_argument("--dataset", required=True, help="dataset file")
-            p.add_argument("--resume", default=None,
-                           help="checkpoint to resume from")
-        if checkpoint:
-            p.add_argument("--checkpoint", default=None,
-                           help="trained checkpoint path")
-        if alpha_beta:
-            p.add_argument("--alpha", type=float, default=None)
-            p.add_argument("--beta", type=float, default=None)
+        return p
 
-    p = sub.add_parser("gen-formation", help="generate a formation dataset")
-    common(p)
+    def sweep(p):
+        common(p)
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker threads for sweeps")
+        p.add_argument("--dataset", default=None,
+                       help="evaluate stored windows instead of generating")
+        return p
+
+    p = common(sub.add_parser("gen-formation",
+                              help="generate a formation dataset"))
     p.set_defaults(func=cmd_gen_formation)
 
-    p = sub.add_parser("gen-flocking", help="simulate and window a flock")
-    common(p)
+    p = common(sub.add_parser("gen-flocking", help="simulate and window a flock"))
     p.set_defaults(func=cmd_gen_flocking)
 
-    p = sub.add_parser("train", help="train the encoder on a dataset")
-    common(p, dataset=True)
+    p = common(sub.add_parser("train", help="train the encoder on a dataset"))
+    p.add_argument("--dataset", required=True, help="dataset file")
+    p.add_argument("--resume", default=None, help="checkpoint to resume from")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a trained checkpoint")
-    common(p, checkpoint=True)
-    p.add_argument("--dataset", default=None,
-                   help="evaluate stored windows instead of generating")
+    p = sweep(sub.add_parser("eval", help="evaluate a trained checkpoint"))
+    p.add_argument("--checkpoint", default=None,
+                   help="trained checkpoint path")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("baseline", help="fixed-parameter identification sweep")
-    common(p, alpha_beta=True)
-    p.add_argument("--dataset", default=None,
-                   help="evaluate stored windows instead of generating")
+    p = sweep(sub.add_parser("baseline",
+                             help="fixed-parameter identification sweep"))
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--beta", type=float, default=None)
     p.set_defaults(func=cmd_baseline)
     return parser
 

@@ -67,6 +67,13 @@ class FlockingSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # A float pair whatever sequence of numbers came in, so that
+        # [1, 2] and (1.0, 2.0) write the same dataset header.
+        try:
+            gx, gy = (float(g) for g in self.goal)
+        except (TypeError, ValueError) as exc:
+            raise InvariantError("goal must be an [x, y] pair") from exc
+        object.__setattr__(self, "goal", (gx, gy))
         if self.rho >= self.r_comm:
             raise InvariantError("desired spacing must be below the comm radius")
         if self.dt <= 0:

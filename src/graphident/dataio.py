@@ -5,8 +5,6 @@ little-endian uint32 header length, a UTF-8 ``key=value`` header (one pair
 per line, carrying n, s, d, the record count, and the generator spec), then
 one fixed-size payload per record: the trajectory as row-major float64
 little-endian values followed by the half-vectorized ground-truth weights.
-
-A plain text export exists for eyeballing records during debugging.
 """
 
 from __future__ import annotations
@@ -120,18 +118,3 @@ def read_dataset(path) -> tuple[list[SampleRecord], dict]:
             f"{len(data) - offset} trailing bytes after the last record",
             offset=offset)
     return records, header
-
-
-def export_text(records: list[SampleRecord], path,
-                spec: dict | None = None) -> None:
-    """Human-readable dump; full-precision floats, one record per block."""
-    if spec is None and records:
-        spec = {k: v for k, v in records[0].meta.items() if k != "window"}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# graphident dataset text export\n")
-        for k, v in (spec or {}).items():
-            fh.write(f"# {k}={_format_value(v)}\n")
-        for i, r in enumerate(records):
-            fh.write(f"record {i} shape {r.X.shape}\n")
-            fh.write("trajectory " + " ".join(repr(v) for v in r.X.reshape(-1)) + "\n")
-            fh.write("weights " + " ".join(repr(v) for v in half_vectorize(r.W)) + "\n")

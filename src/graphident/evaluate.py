@@ -35,7 +35,8 @@ FLOCKING_DETAIL_COLUMNS = ("method", "config", "window", "density", "mae",
 
 
 def identify_with_encoder(X: np.ndarray, params: EncoderParams,
-                          max_iters: int = 2000, tol: float = 1e-5,
+                          max_iters: int = SolverConfig.max_iters,
+                          tol: float = SolverConfig.tol,
                           seed: int = 0) -> tuple[np.ndarray, float, float]:
     """Encoder-driven identification: the encoder gives the solver's
     distances (already scaled by theta) and its regularizers
@@ -50,7 +51,8 @@ def identify_with_encoder(X: np.ndarray, params: EncoderParams,
 
 
 def identify_fixed(X: np.ndarray, alpha: float, beta: float,
-                   max_iters: int = 2000, tol: float = 1e-5,
+                   max_iters: int = SolverConfig.max_iters,
+                   tol: float = SolverConfig.tol,
                    seed: int = 0) -> np.ndarray:
     """Fixed-parameter identification on raw distances, run once per state
     dimension and averaged."""
@@ -76,8 +78,8 @@ class FormationGrid:
     d: int = 2000
     sigma: float = 0.1
     seed: int = 0
-    max_iters: int = 2000
-    tol: float = 1e-5
+    max_iters: int = SolverConfig.max_iters
+    tol: float = SolverConfig.tol
     threshold: float = RECOVERY_THRESHOLD
 
 
@@ -89,6 +91,25 @@ def _formation_case(grid: FormationGrid, n: int, p: float, rep: int
     W = sample_er_graph(n, p, graph_seed)
     X = sample_smooth_signals(W, grid.sigma, grid.d, signal_seed)
     return W, X
+
+
+def _identifier(params: EncoderParams | None,
+                fixed: tuple[float, float] | None, max_iters: int, tol: float):
+    """The sweep's method name and its ``identify(X, seed)``, which returns
+    (W_hat, alpha, beta) from the trained encoder or the fixed
+    (alpha, beta) baseline."""
+    if (params is None) == (fixed is None):
+        raise DimensionError("pass exactly one of params or fixed (alpha, beta)")
+    if params is not None:
+        def identify(X, seed):
+            return identify_with_encoder(X, params, max_iters, tol, seed=seed)
+        return "trained", identify
+    alpha, beta = fixed
+
+    def identify(X, seed):
+        return (identify_fixed(X, alpha, beta, max_iters, tol, seed=seed),
+                alpha, beta)
+    return "baseline", identify
 
 
 def _run_tasks(tasks, workers: int):
@@ -107,22 +128,13 @@ def formation_sweep(grid: FormationGrid, params: EncoderParams | None = None,
     (n, p) to the first repetition's (ground truth, identified) pair for
     qualitative dumps.
     """
-    if (params is None) == (fixed is None):
-        raise DimensionError("pass exactly one of params or fixed (alpha, beta)")
-    method = "trained" if params is not None else "baseline"
-
+    method, identify = _identifier(params, fixed, grid.max_iters, grid.tol)
     cells = [(n, p) for n in grid.n_values for p in grid.p_values]
 
     def make_task(n, p, rep):
         def task():
             W, X = _formation_case(grid, n, p, rep)
-            if params is not None:
-                W_hat, alpha, beta = identify_with_encoder(
-                    X, params, grid.max_iters, grid.tol, seed=rep)
-            else:
-                alpha, beta = fixed
-                W_hat = identify_fixed(X, alpha, beta, grid.max_iters,
-                                       grid.tol, seed=rep)
+            W_hat, alpha, beta = identify(X, rep)
             counts = edge_recovery(W_hat, W, grid.threshold)
             return W, W_hat, mae(W_hat, W), counts, alpha, beta
         return task
@@ -157,8 +169,8 @@ def formation_sweep(grid: FormationGrid, params: EncoderParams | None = None,
 def flocking_sweep(specs: list[FlockingSpec] | None = None,
                    params: EncoderParams | None = None,
                    fixed: tuple[float, float] | None = None,
-                   max_iters: int = 2000, tol: float = 1e-5,
-                   workers: int = 1,
+                   max_iters: int = SolverConfig.max_iters,
+                   tol: float = SolverConfig.tol, workers: int = 1,
                    records_by_config: list[list[SampleRecord]] | None = None):
     """Evaluate every window of each configuration.
 
@@ -166,9 +178,7 @@ def flocking_sweep(specs: list[FlockingSpec] | None = None,
     already available (re-used between trained and baseline runs, or loaded
     from a stored dataset); otherwise each spec is simulated.
     """
-    if (params is None) == (fixed is None):
-        raise DimensionError("pass exactly one of params or fixed (alpha, beta)")
-    method = "trained" if params is not None else "baseline"
+    method, identify = _identifier(params, fixed, max_iters, tol)
     if records_by_config is None:
         if specs is None:
             raise DimensionError("pass flocking specs or prebuilt records")
@@ -176,13 +186,7 @@ def flocking_sweep(specs: list[FlockingSpec] | None = None,
 
     def make_task(cfg_idx, record, window):
         def task():
-            if params is not None:
-                W_hat, alpha, beta = identify_with_encoder(
-                    record.X, params, max_iters, tol, seed=window)
-            else:
-                alpha, beta = fixed
-                W_hat = identify_fixed(record.X, alpha, beta, max_iters,
-                                       tol, seed=window)
+            W_hat, alpha, beta = identify(record.X, window)
             return (cfg_idx, window, edge_density(record.W),
                     mae(W_hat, record.W), alpha, beta)
         return task

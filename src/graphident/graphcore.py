@@ -170,25 +170,12 @@ def total_variation(X: np.ndarray, W: np.ndarray) -> float:
     if X.ndim == 3:
         if X.shape[1] != 1:
             raise DimensionError(
-                f"scalar-signal form needs s=1, got s={X.shape[1]}; "
-                "use total_variation_nd for multi-dimensional states")
+                f"scalar-signal form needs s=1, got s={X.shape[1]}")
         X = X[:, 0, :]
     if X.ndim != 2:
         raise DimensionError(f"expected (n, d) signals, got shape {X.shape}")
     L = laplacian(W)
     return float(np.trace(X.T @ L @ X))
-
-
-def total_variation_nd(X: np.ndarray, W: np.ndarray) -> float:
-    """Multi-dimensional total variation, summing the scalar form per state axis.
-
-    Equivalent to the quadratic form of the Kronecker-lifted Laplacian
-    without materializing it.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 3:
-        raise DimensionError(f"expected an (n, s, d) tensor, got shape {X.shape}")
-    return float(sum(total_variation(X[:, k, :], W) for k in range(X.shape[1])))
 
 
 def adjoint_raw(W: np.ndarray) -> np.ndarray:

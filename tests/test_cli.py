@@ -1,9 +1,19 @@
 """CLI contract tests: subcommands, exit codes, determinism of outputs."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
+
+import pytest
 
 from graphident.cli import main
 from graphident.dataio import read_dataset
+from graphident.datagen import FlockingSpec, FormationSpec
+from graphident.evaluate import FormationGrid
+from graphident.training import TrainConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(path, payload):
@@ -45,6 +55,25 @@ class TestGenFormation:
         assert run(["gen-formation", "--config", str(bad),
                     "--out", str(tmp_path / "o")]) == 2
 
+    def test_config_must_be_an_object(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", [12, 0.3])
+        assert run(["gen-formation", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+
+    def test_full_scale_sets_sample_count(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {"n": 4})
+        assert run(["gen-formation", "--config", cfg, "--full-scale",
+                    "--out", str(tmp_path / "o")]) == 0
+        records, header = read_dataset(tmp_path / "o" / "dataset.gids")
+        assert header["d"] == 10000 and records[0].X.shape == (4, 2, 10000)
+
+    @pytest.mark.parametrize("name", ["sigma", "n"])
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path / "c.json", {name: True})
+        assert run(["gen-formation", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert f"'{name}'" in capsys.readouterr().err
+
 
 class TestGenFlocking:
     def test_windows_and_densities(self, tmp_path, capsys):
@@ -57,6 +86,17 @@ class TestGenFlocking:
         assert len(records) == 5
         out = capsys.readouterr().out
         assert "density_min" in out and "density_max" in out
+
+    def test_spacing_at_comm_radius_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {"rho": 1.2, "r_comm": 1.2})
+        assert run(["gen-flocking", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+
+    def test_goal_length_names_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"goal": [0.0, 1.0, 2.0]})
+        assert run(["gen-flocking", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert "goal" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -92,6 +132,33 @@ class TestTrain:
         assert len(lines) == 9  # header + 5 + 3
         steps = [int(line.split(",")[0]) for line in lines[1:]]
         assert steps == list(range(8))
+
+    def test_null_grad_clip_trains_unclipped(self, tmp_path):
+        dataset = self.make_dataset(tmp_path)
+
+        def train(name, grad_clip):
+            cfg = write_config(tmp_path / f"{name}.json",
+                               {"total_steps": 3, "unroll_steps": 3,
+                                "seed": 1, "grad_clip": grad_clip})
+            assert run(["train", "--config", cfg, "--dataset", dataset,
+                        "--out", str(tmp_path / name)]) == 0
+            doc = json.loads((tmp_path / name / "checkpoint.json").read_text())
+            return doc.pop("train_config"), doc
+
+        none_cfg, unclipped = train("none", None)
+        _, loose = train("loose", 1e300)
+        _, tight = train("tight", 1e-9)
+        assert none_cfg["grad_clip"] is None
+        assert unclipped == loose
+        assert unclipped["adam_m"] != tight["adam_m"]
+
+    def test_non_boolean_flag_names_field(self, tmp_path, capsys):
+        dataset = self.make_dataset(tmp_path)
+        cfg = write_config(tmp_path / "t.json",
+                           {"total_steps": 1, "resample_windows": "yes"})
+        assert run(["train", "--config", cfg, "--dataset", dataset,
+                    "--out", str(tmp_path / "run")]) == 2
+        assert "'resample_windows'" in capsys.readouterr().err
 
     def test_missing_dataset_is_io_error(self, tmp_path):
         cfg = write_config(tmp_path / "t.json", {"total_steps": 1})
@@ -188,6 +255,18 @@ class TestEvalAndBaseline:
                     "--out", str(tmp_path / "fe")]) == 0
         assert (tmp_path / "fe" / "windows.csv").exists()
 
+    def test_boolean_repetitions_rejected(self, tmp_path, capsys):
+        cfg = self.eval_config(tmp_path, repetitions=True)
+        assert run(["baseline", "--config", cfg, "--alpha", "0.2",
+                    "--beta", "0.001", "--out", str(tmp_path / "bl")]) == 2
+        assert "'repetitions'" in capsys.readouterr().err
+
+    def test_flocking_configs_must_be_objects(self, tmp_path):
+        cfg = write_config(tmp_path / "f.json",
+                           {"kind": "flocking", "configs": [5]})
+        assert run(["baseline", "--config", cfg, "--alpha", "0.1",
+                    "--beta", "0.1", "--out", str(tmp_path / "x")]) == 2
+
     def test_unknown_kind(self, tmp_path):
         cfg = write_config(tmp_path / "k.json", {"kind": "mystery"})
         assert run(["baseline", "--config", cfg, "--alpha", "0.1",
@@ -211,3 +290,37 @@ class TestEvalAndBaseline:
                     "--dataset", str(tmp_path / "data" / "dataset.gids"),
                     "--out", str(tmp_path / "db")]) == 0
         assert (tmp_path / "db" / "report.csv").exists()
+
+
+class TestReadmeDefaults:
+    """README's "Config fields" list must repeat the dataclasses' defaults."""
+
+    SECTIONS = {"gen-formation": FormationSpec, "gen-flocking": FlockingSpec,
+                "train": TrainConfig, "eval": FormationGrid}
+    CLI_ONLY = {"windows", "encoder_seed", "kind", "configs"}
+
+    def documented(self):
+        text = README.read_text(encoding="utf-8")
+        block = text.split("Config fields", 1)[1].split("\n\n", 2)[1]
+        bullets = re.split(r"\n- ", "\n" + block)[1:]
+        out = {}
+        for bullet in bullets:
+            command = re.match(r"`([\w-]+)`", bullet).group(1)
+            pairs = re.findall(r"`(\w+)` \(([^)]*)\)", " ".join(bullet.split()))
+            out[command] = {name: raw for name, raw in pairs
+                            if name not in self.CLI_ONLY}
+        return out
+
+    @pytest.mark.parametrize("command", sorted(SECTIONS))
+    def test_listed_defaults_match_dataclass(self, command):
+        cls = self.SECTIONS[command]
+        listed = self.documented()[command]
+        defaults = {f.name: f.default
+                    for f in dataclasses.fields(cls)}
+        assert set(listed) == set(defaults)
+        for name, raw in listed.items():
+            value = json.loads(raw)
+            default = defaults[name]
+            if isinstance(default, tuple):
+                default = list(default)
+            assert value == default, name

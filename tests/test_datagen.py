@@ -6,7 +6,7 @@ import pytest
 
 from graphident import datagen as dg
 from graphident.errors import DimensionError, InvariantError, SimulationError
-from graphident.graphcore import edge_density, laplacian, total_variation_nd
+from graphident.graphcore import edge_density, laplacian, total_variation
 
 
 class TestErGraph:
@@ -71,7 +71,8 @@ class TestSmoothSignals:
         marginal = np.sqrt(np.diag((evecs * inv) @ evecs.T) + 0.1)
         rng = np.random.default_rng(9)
         X_white = rng.standard_normal((n, 2, 4000)) * marginal[:, None, None]
-        assert total_variation_nd(X, W) < 0.5 * total_variation_nd(X_white, W)
+        assert (total_variation(X.reshape(n, -1), W)
+                < 0.5 * total_variation(X_white.reshape(n, -1), W))
 
     def test_deterministic_given_seed(self):
         W = dg.sample_er_graph(6, 0.3, seed=10)
@@ -137,6 +138,14 @@ class TestFlocking:
             dg.FlockingSpec(rho=1.5, r_comm=1.2)
         with pytest.raises(InvariantError):
             dg.FlockingSpec(dt=0.0)
+        for goal in ([0.0, 1.0, 2.0], [1.0], ["x", 1.0], 3.0):
+            with pytest.raises(InvariantError):
+                dg.FlockingSpec(goal=goal)
+
+    def test_goal_is_a_float_pair(self):
+        spec = dg.FlockingSpec(goal=[1, 2])
+        assert spec.goal == (1.0, 2.0)
+        assert all(type(g) is float for g in spec.goal)
 
 
 class TestWindowing:

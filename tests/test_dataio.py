@@ -103,13 +103,3 @@ class TestMalformedFiles:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(SchemaError, match="trailing"):
             dataio.read_dataset(path)
-
-
-class TestTextExport:
-    def test_export_readable(self, tmp_path):
-        records = make_records(2)
-        path = tmp_path / "dump.txt"
-        dataio.export_text(records, path)
-        text = path.read_text()
-        assert "record 0" in text and "record 1" in text
-        assert "weights" in text

@@ -10,8 +10,7 @@ from graphident.graphcore import (DegreeOperator, EdgeRecovery, adjoint,
                                   devectorize, distance_matrix,
                                   edge_density, edge_recovery,
                                   half_vectorize, laplacian, mae, num_edges,
-                                  total_variation, total_variation_nd,
-                                  upper_indices)
+                                  total_variation, upper_indices)
 
 
 def random_adjacency(n, rng, density=0.5):
@@ -138,13 +137,6 @@ class TestTotalVariation:
     def test_rejects_multidim(self):
         with pytest.raises(DimensionError):
             total_variation(np.zeros((4, 2, 6)), np.zeros((4, 4)))
-
-    def test_nd_sums_dimensions(self):
-        rng = np.random.default_rng(5)
-        W = random_adjacency(6, rng)
-        X = rng.normal(size=(6, 3, 5))
-        expected = sum(total_variation(X[:, k, :], W) for k in range(3))
-        assert np.isclose(total_variation_nd(X, W), expected)
 
 
 class TestDistanceMatrix:
