@@ -24,9 +24,9 @@ from .datagen import (FlockingSpec, FormationSpec, SampleRecord,
                       generate_flocking_windows, sample_er_graph,
                       sample_smooth_signals)
 from .encoder import flocking_params, formation_params
-from .errors import (ConfigError, GraphIdentError, InvariantError,
-                     NumericalFailure, OracleFailure, SchemaError,
-                     SimulationError, TrainStepError)
+from .errors import (ConfigError, DimensionError, GraphIdentError,
+                     InvariantError, NumericalFailure, OracleFailure,
+                     SchemaError, SimulationError, TrainStepError)
 from .graphcore import edge_density
 from .solver import SolverConfig
 
@@ -88,7 +88,9 @@ def _spec(cls, cfg: dict, full_scale: bool = False, **flags):
     Every field is read with ``_field`` against its default: the
     dataclass's own, or the ``FULL_SCALE`` size under ``--full-scale``.
     ``null`` passes only where the annotation admits None.  A flag that is
-    not None, such as ``seed``, overrides the config.
+    not None, such as ``seed``, overrides the config.  A value the
+    dataclass rejects, with ``InvariantError`` or ``DimensionError``, is a
+    ``ConfigError``.
     """
     if not isinstance(cfg, dict):
         raise ConfigError(f"a {cls.__name__} config must be a JSON object")
@@ -104,7 +106,7 @@ def _spec(cls, cfg: dict, full_scale: bool = False, **flags):
             nullable=type(None) in typing.get_args(hints[f.name]))
     try:
         return cls(**values)
-    except InvariantError as exc:
+    except (InvariantError, DimensionError) as exc:
         raise ConfigError(f"invalid {cls.__name__}: {exc}") from exc
 
 
@@ -295,23 +297,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
+        return p
+
+    def scaled(p):
+        common(p)
         p.add_argument("--full-scale", action="store_true",
                        help="full-scale experiment defaults instead of desk-scale")
         return p
 
     def sweep(p):
-        common(p)
+        scaled(p)
         p.add_argument("--workers", type=int, default=1,
                        help="worker threads for sweeps")
         p.add_argument("--dataset", default=None,
                        help="evaluate stored windows instead of generating")
         return p
 
-    p = common(sub.add_parser("gen-formation",
+    p = scaled(sub.add_parser("gen-formation",
                               help="generate a formation dataset"))
     p.set_defaults(func=cmd_gen_formation)
 
-    p = common(sub.add_parser("gen-flocking", help="simulate and window a flock"))
+    p = scaled(sub.add_parser("gen-flocking", help="simulate and window a flock"))
     p.set_defaults(func=cmd_gen_flocking)
 
     p = common(sub.add_parser("train", help="train the encoder on a dataset"))

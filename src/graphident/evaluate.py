@@ -8,6 +8,7 @@ reports are deterministic for a given config regardless of worker count.
 from __future__ import annotations
 
 import csv
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 from .datagen import (FlockingSpec, SampleRecord, generate_flocking_windows,
                       sample_er_graph, sample_smooth_signals)
 from .encoder import EncoderParams, encode
-from .errors import DimensionError
+from .errors import DimensionError, InvariantError
 from .graphcore import (devectorize, distance_matrix, edge_density,
                         edge_recovery, half_vectorize, mae)
 from .solver import SolverConfig, identify_graph
@@ -81,6 +82,32 @@ class FormationGrid:
     max_iters: int = SolverConfig.max_iters
     tol: float = SolverConfig.tol
     threshold: float = RECOVERY_THRESHOLD
+
+    def __post_init__(self):
+        # Checked here, before a sweep starts, so that a bad grid is a
+        # config error that names its field rather than a failure midway.
+        if not all(_is_int(n) and n >= 2 for n in self.n_values):
+            raise InvariantError("n_values must be integers of at least 2")
+        if not all(_is_real(p) and 0 < p < 1 for p in self.p_values):
+            raise InvariantError("p_values must lie strictly in (0, 1)")
+        if self.repetitions < 1:
+            raise InvariantError("repetitions must be at least 1")
+        if self.d < 1:
+            raise InvariantError("d must be at least 1")
+        if self.sigma <= 0:
+            raise InvariantError("sigma must be positive")
+        if self.max_iters < 1:
+            raise InvariantError("max_iters must be at least 1")
+        if self.tol <= 0:
+            raise InvariantError("tol must be positive")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _formation_case(grid: FormationGrid, n: int, p: float, rep: int

@@ -160,6 +160,21 @@ class TestTrain:
                     "--out", str(tmp_path / "run")]) == 2
         assert "'resample_windows'" in capsys.readouterr().err
 
+    def test_invalid_value_names_field(self, tmp_path, capsys):
+        dataset = self.make_dataset(tmp_path)
+        cfg = write_config(tmp_path / "t.json", {"learning_rate": -1})
+        assert run(["train", "--config", cfg, "--dataset", dataset,
+                    "--out", str(tmp_path / "run")]) == 2
+        assert "learning_rate" in capsys.readouterr().err
+
+    def test_full_scale_is_not_a_train_flag(self, tmp_path):
+        # ``train`` has no full-scale size, so the flag is refused.
+        cfg = write_config(tmp_path / "t.json", {"total_steps": 1})
+        with pytest.raises(SystemExit) as info:
+            run(["train", "--config", cfg, "--dataset", "d.gids",
+                 "--out", str(tmp_path / "run"), "--full-scale"])
+        assert info.value.code == 2
+
     def test_missing_dataset_is_io_error(self, tmp_path):
         cfg = write_config(tmp_path / "t.json", {"total_steps": 1})
         assert run(["train", "--config", cfg,
@@ -260,6 +275,14 @@ class TestEvalAndBaseline:
         assert run(["baseline", "--config", cfg, "--alpha", "0.2",
                     "--beta", "0.001", "--out", str(tmp_path / "bl")]) == 2
         assert "'repetitions'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 0), ("repetitions", 0), ("n_values", ["a"])])
+    def test_invalid_grid_names_field(self, tmp_path, capsys, field, value):
+        cfg = self.eval_config(tmp_path, **{field: value})
+        assert run(["baseline", "--config", cfg, "--alpha", "0.2",
+                    "--beta", "0.001", "--out", str(tmp_path / "bl")]) == 2
+        assert field in capsys.readouterr().err
 
     def test_flocking_configs_must_be_objects(self, tmp_path):
         cfg = write_config(tmp_path / "f.json",

@@ -6,7 +6,7 @@ import pytest
 from graphident import evaluate as ev
 from graphident.datagen import FlockingSpec
 from graphident.encoder import formation_params
-from graphident.errors import DimensionError
+from graphident.errors import DimensionError, InvariantError
 from graphident.graphcore import distance_matrix, half_vectorize, devectorize, mae
 from graphident.solver import SolverConfig, identify_graph
 
@@ -89,6 +89,14 @@ class TestFormationSweep:
         with pytest.raises(DimensionError):
             ev.formation_sweep(tiny_grid(), params=formation_params(0),
                                fixed=(0.1, 0.1))
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_values", (1,)), ("n_values", (6.5,)), ("n_values", (True,)),
+        ("p_values", (1.0,)), ("p_values", ("a",)), ("repetitions", 0),
+        ("d", 0), ("sigma", 0.0), ("max_iters", 0), ("tol", 0.0)])
+    def test_grid_validation_names_field(self, field, value):
+        with pytest.raises(InvariantError, match=field):
+            tiny_grid(**{field: value})
 
 
 class TestFlockingSweep:

@@ -18,8 +18,8 @@ from graphident.encoder import (arrays_to_params, encode, flocking_params,
 from graphident.errors import DimensionError, SchemaError, TrainStepError
 from graphident.graphcore import (DegreeOperator, build_sum_operator,
                                   distance_matrix, half_vectorize, num_edges)
-from graphident.solver import (DualState, SolverConfig, dual_step,
-                               dual_step_vjp, identify_graph, init_dual_state)
+from graphident.solver import (DualState, dual_step, dual_step_vjp,
+                               init_dual_state)
 
 
 def small_record(n=6, d=12, seed=0, p=0.4):
@@ -90,11 +90,13 @@ class TestUnrolledIdentify:
         X = rng.normal(size=(5, 2, 8))
         params = formation_params(seed=6)
         res = tr.unrolled_identify(X, params, unroll_steps=60, solver_seed=9)
-        cfg = SolverConfig(alpha=float(res.alpha.value),
-                           beta=float(res.beta.value),
-                           max_iters=60, tol=1e-300, seed=9)
-        plain = identify_graph(res.y.value, 5, cfg)
-        assert np.abs(res.w.value - plain.w).max() <= 1e-12
+        # The unroll continues the plain momentum loop that training's
+        # presolve runs, not identification's restarted one.
+        w, _, _, _ = solver.advance(
+            res.y.value, DegreeOperator(5), float(res.alpha.value),
+            float(res.beta.value), init_dual_state(5, seed=9), 60, 1e-300,
+            restart=False)
+        assert np.abs(res.w.value - w).max() <= 1e-12
 
     def test_dual_state_persistence_continues_iteration(self):
         rng = np.random.default_rng(7)
