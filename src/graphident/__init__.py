@@ -6,8 +6,6 @@ regularization weights.
 """
 
 from .graphcore import (
-    adjoint,
-    adjoint_raw,
     build_sum_operator,
     devectorize,
     distance_matrix,
@@ -33,8 +31,6 @@ from .evaluate import identify_fixed, identify_with_encoder
 from .training import TrainConfig, TrainState, train
 
 __all__ = [
-    "adjoint",
-    "adjoint_raw",
     "build_sum_operator",
     "devectorize",
     "distance_matrix",

@@ -212,6 +212,10 @@ def cmd_train(args) -> int:
 def _eval_common(args, fixed: tuple[float, float] | None) -> int:
     cfg = _load_config(args.config)
     kind = _field(cfg, "kind", "formation")
+    # Every solve of the sweep builds a SolverConfig; building one here
+    # makes a bad value a config error before any output is written.
+    alpha, beta = fixed or (SolverConfig.alpha, SolverConfig.beta)
+    solver_cfg = _spec(SolverConfig, cfg, alpha=alpha, beta=beta)
     params = None
     if fixed is None:
         checkpoint = args.checkpoint or _field(cfg, "checkpoint", None, str)
@@ -231,8 +235,8 @@ def _eval_common(args, fixed: tuple[float, float] | None) -> int:
                              for sd in _field(cfg, "configs", [{}])], None
         summary, detail = evaluate.flocking_sweep(
             specs, params=params, fixed=fixed,
-            max_iters=_field(cfg, "max_iters", SolverConfig.max_iters),
-            tol=_field(cfg, "tol", SolverConfig.tol), workers=args.workers,
+            max_iters=solver_cfg.max_iters, tol=solver_cfg.tol,
+            workers=args.workers,
             records_by_config=stored)
         evaluate.write_csv(summary, out / "report.csv",
                            evaluate.FLOCKING_SUMMARY_COLUMNS)

@@ -165,21 +165,12 @@ def _soft_sign(z):
     return z / np.sqrt(1.0 + z * z)
 
 
-def flocking_adjacency(positions: np.ndarray, spec: FlockingSpec) -> np.ndarray:
-    """Instantaneous ground truth: bump weights in [0, 1] for pairs inside
-    the communication radius, zero diagonal."""
-    diff = positions[None, :, :] - positions[:, None, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    r_sig = _sigma_norm(spec.r_comm ** 2, spec.eps)
-    A = _bump(_sigma_norm(sq, spec.eps) / r_sig, spec.h)
-    np.fill_diagonal(A, 0.0)
-    return A
-
-
-def _pair_forces(positions, velocities, spec: FlockingSpec) -> np.ndarray:
+def _pair_forces(positions, velocities, spec: FlockingSpec
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient-based spacing force plus velocity consensus over the
-    bump-weighted neighborhood."""
-    n = positions.shape[0]
+    bump-weighted neighborhood, and that neighborhood: the instantaneous
+    ground-truth graph, bump weights in [0, 1] for pairs inside the
+    communication radius, zero diagonal."""
     diff = positions[None, :, :] - positions[:, None, :]   # diff[i,j] = q_j - q_i
     sq = np.einsum("ijk,ijk->ij", diff, diff)
     sig = _sigma_norm(sq, spec.eps)
@@ -202,7 +193,7 @@ def _pair_forces(positions, velocities, spec: FlockingSpec) -> np.ndarray:
 
     vel_diff = velocities[None, :, :] - velocities[:, None, :]
     consensus = np.einsum("ij,ijk->ik", gate, vel_diff)
-    return spacing + consensus
+    return spacing + consensus, gate
 
 
 def simulate_flocking(spec: FlockingSpec,
@@ -233,9 +224,8 @@ def simulate_flocking(spec: FlockingSpec,
     graphs = np.zeros((steps, n, n))
     for t in range(steps):
         traj[:, :, t] = positions
-        graphs[t] = flocking_adjacency(positions, spec)
-        accel = (_pair_forces(positions, velocities, spec)
-                 - spec.c1 * (positions - goal) - spec.c2 * velocities)
+        force, graphs[t] = _pair_forces(positions, velocities, spec)
+        accel = force - spec.c1 * (positions - goal) - spec.c2 * velocities
         velocities = velocities + spec.dt * accel
         positions = positions + spec.dt * velocities
         speed = np.linalg.norm(velocities, axis=1).max() if n else 0.0

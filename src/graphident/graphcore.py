@@ -41,20 +41,6 @@ def upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def validate_adjacency(W: np.ndarray, atol: float = SYM_ATOL) -> np.ndarray:
-    """Check adjacency invariants and return ``W`` as a float64 array."""
-    W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise DimensionError(f"adjacency must be square, got shape {W.shape}")
-    if not np.allclose(W, W.T, atol=atol, rtol=0.0):
-        raise InvariantError("adjacency matrix is not symmetric")
-    if np.max(np.abs(np.diag(W))) > atol:
-        raise InvariantError("adjacency matrix has nonzero diagonal entries")
-    if np.min(W) < -atol:
-        raise InvariantError("adjacency matrix has negative entries")
-    return W
-
-
 def half_vectorize(W: np.ndarray, atol: float = SYM_ATOL) -> np.ndarray:
     """Stack the strict upper triangle of a symmetric zero-diagonal matrix.
 
@@ -176,30 +162,6 @@ def total_variation(X: np.ndarray, W: np.ndarray) -> float:
         raise DimensionError(f"expected (n, d) signals, got shape {X.shape}")
     L = laplacian(W)
     return float(np.trace(X.T @ L @ X))
-
-
-def adjoint_raw(W: np.ndarray) -> np.ndarray:
-    """Row-wise complement redistribution of node degrees.
-
-    Row i spreads its degree uniformly over the zero off-diagonal positions
-    of row i.  Rows with no free position (or no mass) become zero.  The
-    result is generally not symmetric; each nonzero-capacity row preserves
-    its degree exactly.
-    """
-    W = validate_adjacency(W)
-    n = W.shape[0]
-    free = (W == 0.0) & ~np.eye(n, dtype=bool)
-    n_free = free.sum(axis=1)
-    degrees = W.sum(axis=1)
-    fill = np.divide(degrees, n_free, out=np.zeros(n), where=n_free > 0)
-    return free * fill[:, None]
-
-
-def adjoint(W: np.ndarray) -> np.ndarray:
-    """Symmetrized complement graph: the raw row-wise redistribution averaged
-    with its transpose, which restores the adjacency invariants."""
-    raw = adjoint_raw(W)
-    return (raw + raw.T) / 2.0
 
 
 def mae(W_hat: np.ndarray, W: np.ndarray) -> float:

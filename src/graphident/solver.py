@@ -135,8 +135,7 @@ def dual_step(y: np.ndarray, op: DegreeOperator, alpha: float, beta: float,
 
 def dual_step_vjp(y: np.ndarray, op: DegreeOperator, alpha: float,
                   beta: float, lipschitz: float, state: DualState,
-                  w: np.ndarray, g_w, g_lam, g_omega,
-                  saved: tuple | None = None) -> tuple:
+                  w: np.ndarray, g_w, g_lam, g_omega, saved: tuple) -> tuple:
     """Reverse of ``dual_step`` from ``state``, whose primal iterate was
     ``w``.  Given the adjoints of the step's outputs ``w``, ``lam`` and
     ``omega`` (0.0 for none), returns the adjoints of its inputs ``y``,
@@ -146,12 +145,8 @@ def dual_step_vjp(y: np.ndarray, op: DegreeOperator, alpha: float,
 
     Besides ``w``, the reverse step reads what the forward step computed:
     ``z`` = Sw - L omega, ``r`` = sqrt(z^2 + 4 alpha L), ``Sw - u`` and the
-    momentum factor ``c``, the tuple that ``dual_step`` appends to its
-    ``saved`` list.  Without ``saved``, it reruns the step to get them."""
-    if saved is None:
-        keep = []
-        dual_step(y, op, alpha, beta, lipschitz, state, keep)
-        saved = keep[0]
+    momentum factor ``c``: ``saved``, the tuple that ``dual_step`` appends
+    to its ``saved`` list."""
     z, r, d, c = saved
     # omega' = lam + c (lam - lam_prev)
     g_lam = g_lam + (1.0 + c) * g_omega

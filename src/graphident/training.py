@@ -27,9 +27,9 @@ from .encoder import (EncoderParams, arrays_from_doc, arrays_to_params,
                       encode_on_tape, lift_params, params_from_doc,
                       params_to_arrays, params_to_doc, read_checkpoint,
                       write_checkpoint)
-from .errors import (DimensionError, NumericalFailure, SchemaError,
-                     TrainStepError)
-from .graphcore import (DegreeOperator, adjoint, devectorize,
+from .errors import (DimensionError, InvariantError, NumericalFailure,
+                     SchemaError, TrainStepError)
+from .graphcore import (SYM_ATOL, DegreeOperator, devectorize,
                         half_vectorize, mae, nodes_from_edge_count)
 from .solver import (DualState, advance, dual_step, dual_step_vjp,
                      init_dual_state)
@@ -92,9 +92,10 @@ def init_train_state(params: EncoderParams) -> TrainState:
 # --- loss --------------------------------------------------------------------
 
 
-def _adjoint_vech_on_tape(w: ad.Var, op: DegreeOperator) -> ad.Var:
-    """Half-vectorized symmetrized complement graph of the identified weights.
-
+def _complement(w: ad.Var, op: DegreeOperator) -> ad.Var:
+    """The complement graph of the edge weights ``w``, the package's one
+    complement operator: each node spreads its degree evenly over its free
+    (zero-weight) slots, and each free edge averages its two ends' shares.
     The zero pattern and per-node free-slot counts come from the forward value
     (piecewise constant in w); gradients flow through the degree mass only.
     """
@@ -107,20 +108,26 @@ def _adjoint_vech_on_tape(w: ad.Var, op: DegreeOperator) -> ad.Var:
 
 def loss_on_tape(w: ad.Var, w_hat: np.ndarray, S: np.ndarray | None = None,
                  St: np.ndarray | None = None) -> ad.Var:
-    """The identification loss of ``w`` against ``w_hat``, on the tape of
-    ``w``: the sum of absolute weight errors plus the same for the
-    symmetrized complement-redistribution graphs, which penalizes
-    degenerate all-zero solutions on sparse targets.  On an unrecorded tape
-    it gives the plain value.  ``S`` and ``St``, the dense degree operator
-    and its transpose, are accepted for callers that still pass them and
-    are not read: the degrees come from the index form of
-    ``DegreeOperator``."""
+    """The identification loss of ``w`` against the target ``w_hat``, on
+    the tape of ``w``: the sum of absolute weight errors plus the same for
+    their ``_complement`` graphs, which penalizes degenerate all-zero
+    solutions on sparse targets.  The target's complement runs the same
+    code on an unrecorded tape, so the loss of ``w == w_hat`` is exactly 0.
+    On an unrecorded tape it gives the plain value.  A target of another
+    length raises ``DimensionError``, a negative target weight
+    ``InvariantError``.  ``S`` and ``St``, the dense degree operator and its
+    transpose, are accepted for callers that still pass them and are not
+    read."""
+    w_hat = np.asarray(w_hat, dtype=np.float64)
+    if w_hat.shape != w.shape:
+        raise DimensionError(f"target has shape {w_hat.shape}, not {w.shape}")
     op = DegreeOperator(nodes_from_edge_count(w.shape[0]))
-    adj_hat = half_vectorize(adjoint(devectorize(w_hat, op.n)))
+    if not np.all(w_hat >= -SYM_ATOL):
+        raise InvariantError("target weights must be nonnegative")
+    target = _complement(ad.Tape(record=False).leaf(w_hat), op).value
     weight_term = ad.asum(ad.absolute(ad.sub(w, w_hat)))
-    adjoint_term = ad.asum(ad.absolute(
-        ad.sub(_adjoint_vech_on_tape(w, op), adj_hat)))
-    return ad.add(weight_term, adjoint_term)
+    complement_term = ad.asum(ad.absolute(ad.sub(_complement(w, op), target)))
+    return ad.add(weight_term, complement_term)
 
 
 # --- unrolled solve ----------------------------------------------------------

@@ -284,6 +284,31 @@ class TestEvalAndBaseline:
                     "--beta", "0.001", "--out", str(tmp_path / "bl")]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("max_iters", 0), ("tol", -1)])
+    @pytest.mark.parametrize("command", ["eval", "baseline"])
+    def test_invalid_flocking_solver_field_names_field(
+            self, tmp_path, capsys, command, field, value):
+        cfg = write_config(tmp_path / "f.json",
+                           {"kind": "flocking", field: value,
+                            "configs": [{"n": 6, "duration": 1.2}]})
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "x")]
+        if command == "eval":
+            argv += ["--checkpoint", self.train_tiny(tmp_path)]
+        else:
+            argv += ["--alpha", "0.2", "--beta", "0.001"]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("kind", ["formation", "flocking"])
+    def test_negative_alpha_names_field(self, tmp_path, capsys, kind):
+        cfg = self.eval_config(tmp_path, kind=kind)
+        assert run(["baseline", "--config", cfg, "--alpha", "-1",
+                    "--beta", "0.001", "--out", str(tmp_path / "bl")]) == 2
+        assert "alpha" in capsys.readouterr().err
+        assert not (tmp_path / "bl").exists()
+
     def test_flocking_configs_must_be_objects(self, tmp_path):
         cfg = write_config(tmp_path / "f.json",
                            {"kind": "flocking", "configs": [5]})

@@ -4,13 +4,15 @@ or brute-force oracles."""
 import numpy as np
 import pytest
 
+from graphident import autodiff as ad
 from graphident.errors import DimensionError, InvariantError
-from graphident.graphcore import (DegreeOperator, EdgeRecovery, adjoint,
-                                  adjoint_raw, build_sum_operator,
-                                  devectorize, distance_matrix,
-                                  edge_density, edge_recovery,
-                                  half_vectorize, laplacian, mae, num_edges,
-                                  total_variation, upper_indices)
+from graphident.graphcore import (DegreeOperator, EdgeRecovery,
+                                  build_sum_operator, devectorize,
+                                  distance_matrix, edge_density,
+                                  edge_recovery, half_vectorize, laplacian,
+                                  mae, num_edges, total_variation,
+                                  upper_indices)
+from graphident.training import _complement
 
 
 def random_adjacency(n, rng, density=0.5):
@@ -169,42 +171,52 @@ class TestDistanceMatrix:
                     assert D[i, j] <= D[i, k] + D[k, j] + 1e-9
 
 
+def complement(W):
+    """The loss's complement graph of the adjacency ``W``, as a matrix."""
+    n = W.shape[0]
+    leaf = ad.Tape(record=False).leaf(half_vectorize(W))
+    return devectorize(_complement(leaf, DegreeOperator(n)).value, n)
+
+
 class TestAdjoint:
+    """The complement (adjoint) graph, whose one implementation is the
+    training loss's ``_complement``."""
+
     def test_worked_single_edge(self):
+        # Nodes 0 and 1 each spread degree 2 over their one free slot, to
+        # node 2; each free edge averages its ends' shares, 2 and 0.
         W = np.zeros((3, 3))
         W[0, 1] = W[1, 0] = 2.0
-        raw = adjoint_raw(W)
-        assert raw[0, 2] == 2.0 and raw[1, 2] == 2.0
-        assert np.allclose(raw[2], 0.0)
-        sym = adjoint(W)
+        sym = complement(W)
         assert sym[0, 2] == sym[2, 0] == 1.0
         assert sym[1, 2] == sym[2, 1] == 1.0
         assert sym[0, 1] == 0.0
 
     def test_empty_graph(self):
-        assert np.array_equal(adjoint(np.zeros((4, 4))), np.zeros((4, 4)))
+        assert np.array_equal(complement(np.zeros((4, 4))), np.zeros((4, 4)))
 
     def test_complete_graph(self):
         W = np.ones((4, 4)) - np.eye(4)
-        assert np.array_equal(adjoint(W), np.zeros((4, 4)))
+        assert np.array_equal(complement(W), np.zeros((4, 4)))
 
-    def test_raw_preserves_row_sums(self):
+    def test_preserves_total_weight(self):
+        # Each node with an edge and a free slot spreads its whole degree
+        # over its free edges, so the totals match.
         rng = np.random.default_rng(8)
         for _ in range(10):
-            W = random_adjacency(6, rng, density=0.4)
-            raw = adjoint_raw(W)
-            free_counts = ((W == 0) & ~np.eye(6, dtype=bool)).sum(axis=1)
-            for i in range(6):
-                if free_counts[i] > 0:
-                    assert abs(raw[i].sum() - W[i].sum()) <= 1e-12
+            W = random_adjacency(6, rng, density=0.3)
+            free = ((W == 0) & ~np.eye(6, dtype=bool)).sum(axis=1)
+            assert np.all(free[W.sum(axis=1) > 0] > 0)
+            assert (abs(complement(W).sum() - W.sum())
+                    <= 1e-12 * W.sum())
 
     def test_symmetrized_is_valid_adjacency(self):
         rng = np.random.default_rng(9)
         W = random_adjacency(7, rng, density=0.3)
-        A = adjoint(W)
-        assert np.allclose(A, A.T)
-        assert np.allclose(np.diag(A), 0.0)
-        assert A.min() >= 0
+        A = complement(W)
+        assert np.array_equal(A, A.T)
+        assert np.all(np.diag(A) == 0.0)
+        assert A.min() >= 0 and A.max() > 0
 
 
 class TestMae:

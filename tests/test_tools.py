@@ -39,7 +39,8 @@ def test_train_digest_prints_one_digest_per_part():
     assert done.returncode == 0, done.stderr
     assert re.fullmatch(
         r"encode: [0-9a-f]{64}\nsolve: [0-9a-f]{64}\n"
-        r"formation: [0-9a-f]{64}\nflocking: [0-9a-f]{64}\n",
+        r"formation: [0-9a-f]{64}\nflocking: [0-9a-f]{64}\n"
+        r"formation-params: [0-9a-f]{64}\nflocking-params: [0-9a-f]{64}\n",
         done.stdout), done.stdout
 
 

@@ -10,12 +10,14 @@ from graphident import autodiff as ad
 from graphident import encoder as enc
 from graphident import solver
 from graphident import training as tr
-from graphident.datagen import (FormationSpec, SampleRecord,
+from graphident.datagen import (FlockingSpec, FormationSpec, SampleRecord,
+                                generate_flocking_windows,
                                 generate_formation_sample, sample_er_graph,
                                 sample_smooth_signals)
 from graphident.encoder import (arrays_to_params, encode, flocking_params,
                                 formation_params, params_to_arrays)
-from graphident.errors import DimensionError, SchemaError, TrainStepError
+from graphident.errors import (DimensionError, InvariantError, SchemaError,
+                               TrainStepError)
 from graphident.graphcore import (DegreeOperator, build_sum_operator,
                                   distance_matrix, half_vectorize, num_edges)
 from graphident.solver import (DualState, dual_step, dual_step_vjp,
@@ -39,6 +41,23 @@ class TestIdentificationLoss:
         rng = np.random.default_rng(0)
         w = rng.uniform(size=num_edges(5))
         assert plain_loss(w, w) == 0.0
+
+    def test_zero_at_sparse_truth(self):
+        # The target's complement runs the prediction's own code, so a
+        # perfect prediction scores exactly 0 on graphs with free slots,
+        # and the |.| terms' subgradients vanish there.
+        targets = [half_vectorize(sample_er_graph(20, 0.2, seed))
+                   for seed in range(10)]
+        targets += [half_vectorize(r.W) for r in
+                    generate_flocking_windows(FlockingSpec(n=20, seed=0))]
+        for w_hat in targets:
+            assert w_hat.any() and not w_hat.all()
+            assert plain_loss(w_hat, w_hat) == 0.0
+
+    def test_negative_target_rejected(self):
+        w_hat = np.array([1.0, -1e-6, 0.5])
+        with pytest.raises(InvariantError):
+            plain_loss(np.zeros(3), w_hat)
 
     def test_single_edge_worked_example(self):
         # w places one unit edge between nodes 0 and 1; target is empty.
@@ -393,13 +412,14 @@ class TestUnrollNode:
             a, b = float(alpha.value), float(beta.value)
             lipschitz = (n - 1) / b
             state = DualState(lam.value, lam.value, omega.value, tau)
-            w, nxt = dual_step(y.value, op, a, b, lipschitz, state)
+            saved = []
+            w, nxt = dual_step(y.value, op, a, b, lipschitz, state, saved)
             m = w.size
 
             def vjp(g):
                 gy, ga, gb, gl, g_omega, g_lam = dual_step_vjp(
                     y.value, op, a, b, lipschitz, state, w, g[:m],
-                    g[m:m + n], g[m + n:])
+                    g[m:m + n], g[m + n:], saved[0])
                 return gy, ga, gb - gl * (n - 1) / (b * b), g_omega, g_lam
 
             out = ad.custom(leaves, np.concatenate([w, nxt.lam, nxt.omega]),

@@ -13,6 +13,9 @@ alike on these inputs:
   benchmark's desk graph (n=20, ER seed 12, d=2000).
 - ``flocking``: the same after 640 flocking steps on criterion 8's
   simulation, past the window refresh at step 500.
+- ``formation-params`` and ``flocking-params``: the parameters alone, so
+  a change that moves only the last bits of the losses can show that
+  training itself is unchanged.
 
     python tools/train_digest.py                   # this checkout
     python tools/train_digest.py --src OTHER/src   # another checkout
@@ -28,7 +31,8 @@ import hashlib
 import sys
 from pathlib import Path
 
-PARTS = ("encode", "solve", "formation", "flocking")
+PARTS = ("encode", "solve", "formation", "flocking", "formation-params",
+         "flocking-params")
 
 
 def digests() -> dict:
@@ -73,8 +77,9 @@ def digests() -> dict:
              flocking_params(0), training.TrainConfig(total_steps=640)))
     for part, records, params0, cfg in runs:
         state, metrics = training.train(records, cfg, params=params0)
-        add(part, [row["loss"] for row in metrics],
-            *params_to_arrays(state.params))
+        arrays = params_to_arrays(state.params)
+        add(part, [row["loss"] for row in metrics], *arrays)
+        add(f"{part}-params", *arrays)
     return {part: h.hexdigest() for part, h in hashers.items()}
 
 
