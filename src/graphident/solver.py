@@ -15,16 +15,16 @@ differentiable, and needs S only through ``S w`` and ``S' lambda``.  Both
 run in index form (``graphcore.DegreeOperator``), O(n^2) per iteration.
 
 ``advance`` is the one loop that runs the iteration under a stop rule; it
-serves ``identify_graph`` and training's presolve alike.  Identification
-also restarts the momentum whenever a step opposes it (the gradient restart
-of O'Donoghue & Candes, FoCM 2015, arXiv:1204.3982), which about halves its
-iterations and lets the stop rule fire close to the optimum.  The presolve
-and training's taped unroll keep plain momentum: the unroll differentiates
-``dual_step``, and a restart test inside it would make the loss jump
-wherever a parameter change flips the test.  ``dual_step_vjp``
-is the step's reverse, which training sweeps back over an unrolled run.  It
-reads the values the forward step computed and saved (``z``, ``r``,
-``Sw - u`` and the momentum factor), so the sweep recomputes none of them.
+serves ``identify_graph`` and training's presolve alike.  It restarts the
+momentum whenever a step opposes it (the gradient restart of O'Donoghue &
+Candes, FoCM 2015, arXiv:1204.3982), which about halves the iterations of a
+cold solve, cuts those of a warm one further, and lets the stop rule fire
+close to the optimum.  Training's taped unroll runs ``dual_step`` alone:
+a restart test inside it would make the loss jump wherever a parameter
+change flips the test.  ``dual_step_vjp`` is the step's reverse, which
+training sweeps back over an unrolled run.  It reads the values the forward
+step computed and saved (``z``, ``r``, ``Sw - u`` and the momentum factor),
+so the sweep recomputes none of them.
 
 ``reference_solve`` is a deliberately independent check: projected gradient
 descent with Armijo backtracking on the primal, sharing no code with the
@@ -177,7 +177,7 @@ def dual_step_vjp(y: np.ndarray, op: DegreeOperator, alpha: float,
 
 
 def advance(y: np.ndarray, op: DegreeOperator, alpha: float, beta: float,
-            state: DualState, max_iters: int, tol: float, *, restart: bool
+            state: DualState, max_iters: int, tol: float
             ) -> tuple[np.ndarray, DualState, float, bool]:
     """Run ``dual_step`` from ``state`` until the relative multiplier step
     drops below ``tol`` at a primal iterate that leaves no node isolated, or
@@ -185,14 +185,13 @@ def advance(y: np.ndarray, op: DegreeOperator, alpha: float, beta: float,
     relative step and whether the rule was met.  A non-finite ``w`` makes
     the same step's ``lam`` non-finite, which raises ``NumericalFailure``.
 
-    With ``restart``, a step that opposes the momentum resets it: when
+    A step that opposes the momentum resets it: when
     ``(omega_in - lam) @ (lam - lam_prev) > 0``, where ``omega_in`` is the
     extrapolated point the step started from, the iteration continues from
     ``lam`` with no momentum and ``tau`` = 1.  That is the gradient restart
     of O'Donoghue & Candes (FoCM 2015, arXiv:1204.3982); ``omega_in - lam``
-    is the step's gradient mapping times 1/L.  Without it, the momentum
-    runs on as the plain method, and so as ``dual_step`` and the taped
-    unroll that continues it."""
+    is the step's gradient mapping times 1/L.  ``state.iteration`` counts
+    every step, across restarts."""
     lipschitz = (op.n - 1) / beta
     w = np.zeros(num_edges(op.n))
     rel_step = np.inf
@@ -211,7 +210,7 @@ def advance(y: np.ndarray, op: DegreeOperator, alpha: float, beta: float,
         # the first steps of a solve that sits at w = 0 are already small.
         if rel_step < tol and op.degree(w).min() > 0:
             return w, state, float(rel_step), True
-        if restart and (omega_in - lam) @ diff > 0:
+        if (omega_in - lam) @ diff > 0:
             state = DualState(lam, lam_prev, lam.copy(), 1.0, state.iteration)
     return w, state, float(rel_step), False
 
@@ -230,7 +229,7 @@ def identify_graph(y: np.ndarray, n: int, cfg: SolverConfig) -> SolveResult:
     op = DegreeOperator(n)
     w, state, rel_step, converged = advance(
         y, op, cfg.alpha, cfg.beta, init_dual_state(n, cfg.seed),
-        cfg.max_iters, cfg.tol, restart=True)
+        cfg.max_iters, cfg.tol)
     degrees = op.degree(w)
     return SolveResult(w=w, iters_run=state.iteration, converged=converged,
                        final_relative_step=rel_step,

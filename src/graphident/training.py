@@ -2,13 +2,14 @@
 
 Each training step records the encoder forward pass once, on a fresh tape.
 An untaped presolve advances the solver's dual state from that recording's
-values with ``solver.advance``, under the stop rule identification uses but
-with plain momentum; a truncated number of solver iterations then continues
-it as one node on the same tape, whose VJP is the solver's reverse step
-swept back over the saved iterates.  The loss is applied to the resulting
-edge weights, and the gradient flows back into the encoder parameters.
-The dual state persists across steps while the active sample stays the
-same (truncated unrolling) and is re-seeded whenever the sample changes.
+values with ``solver.advance``, the loop identification runs, momentum
+restart included; a truncated number of plain solver iterations then
+continues it as one node on the same tape, whose VJP is the solver's
+reverse step swept back over the saved iterates.  The loss is applied to
+the resulting edge weights, and the gradient flows back into the encoder
+parameters.  The dual state persists across steps while the active sample
+stays the same (truncated unrolling) and is re-seeded whenever the sample
+changes.
 """
 
 from __future__ import annotations
@@ -170,12 +171,12 @@ def unroll(rec: EncoderRecording, op: DegreeOperator, unroll_steps: int,
     """Run ``unroll_steps`` solver iterations from ``dual`` and record them
     as one node on the tape of ``rec``, after the encoder.
 
-    The forward pass is ``solver.dual_step`` itself, so ``w`` and
-    ``dual_next`` are those of ``solver.advance`` without restart from the
-    same state.  The node keeps every step's input state, primal iterate
-    and the values the step saved for its reverse; its VJP sweeps
-    ``solver.dual_step_vjp`` back over them to ``y``, ``alpha`` and
-    ``beta``, recomputing nothing.  The starting dual is a constant.
+    The forward pass is ``solver.dual_step`` itself, run ``unroll_steps``
+    times with no stop rule or restart.  The node keeps every step's input
+    state, primal iterate and the values the step saved for its reverse;
+    its VJP sweeps ``solver.dual_step_vjp`` back over them to ``y``,
+    ``alpha`` and ``beta``, recomputing nothing.  The starting dual is a
+    constant.
     """
     if unroll_steps < 1:
         raise DimensionError("need at least one unrolled iteration")
@@ -277,15 +278,13 @@ def _presolve(rec: EncoderRecording, op: DegreeOperator, dual: DualState,
     on the step's one encoder recording, so that the taped unroll
     differentiates the tail of an (almost) converged solve, as evaluation
     runs it.  A non-finite iterate raises ``TrainStepError`` for a retry."""
-    # Plain momentum, no restart: the taped unroll continues this state with
-    # ``dual_step``, which cannot restart without making the loss jump where
-    # a parameter change flips the restart test, so the presolve runs the
-    # same iteration that the unroll differentiates.
+    # The presolve's momentum restarts cannot make the loss jump: its output
+    # is a constant start for the unroll, whose plain ``dual_step`` iterations
+    # are all that the gradient differentiates.
     try:
         _, dual, _, _ = advance(rec.y.value, op, float(rec.alpha.value),
                                 float(rec.beta.value), dual,
-                                cfg.presolve_iters, PRESOLVE_TOL,
-                                restart=False)
+                                cfg.presolve_iters, PRESOLVE_TOL)
     except NumericalFailure as exc:
         raise TrainStepError("non-finite dual state during presolve") from exc
     return dual

@@ -114,16 +114,26 @@ class TestAdvance:
                              (n - 1) / 1e-4, state)
             assert not np.all(np.isfinite(w))
             with pytest.raises(NumericalFailure) as info:
-                advance(y, DegreeOperator(n), 0.2, 1e-4, state, 10, 1e-5,
-                        restart=False)
+                advance(y, DegreeOperator(n), 0.2, 1e-4, state, 10, 1e-5)
         assert info.value.iteration == 0
 
 
 def plain_solve(y, n, cfg):
-    """The loop ``identify_graph`` runs, with plain momentum throughout."""
-    return advance(y, DegreeOperator(n), cfg.alpha, cfg.beta,
-                   init_dual_state(n, cfg.seed), cfg.max_iters, cfg.tol,
-                   restart=False)
+    """The loop ``identify_graph`` runs, with its stop rule but plain
+    momentum throughout: ``dual_step`` and no restart.  Returns the last
+    iterate, the state, the last relative step and whether the rule held."""
+    op = DegreeOperator(n)
+    state = init_dual_state(n, cfg.seed)
+    rel_step = np.inf
+    for _ in range(cfg.max_iters):
+        w, state = dual_step(y, op, cfg.alpha, cfg.beta, (n - 1) / cfg.beta,
+                             state)
+        denom = np.sqrt(state.lam_prev @ state.lam_prev)
+        diff = state.lam - state.lam_prev
+        rel_step = np.sqrt(diff @ diff) / denom if denom > 0 else np.inf
+        if rel_step < cfg.tol and op.degree(w).min() > 0:
+            return w, state, rel_step, True
+    return w, state, rel_step, False
 
 
 class TestMomentumRestart:

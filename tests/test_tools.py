@@ -28,7 +28,9 @@ def test_step_ab_prints_both_medians_and_the_paired_ratio():
     assert done.returncode == 0, done.stderr
     assert re.fullmatch(
         r"flocking steps: 3, parent median \d+\.\d{3} ms, "
-        r"change median \d+\.\d{3} ms, paired median ratio \d+\.\d{3}\n",
+        r"change median \d+\.\d{3} ms, paired median ratio \d+\.\d{3}\n"
+        r"flocking presolve iterations per step: "
+        r"parent (\d+\.\d), change \1\n",
         done.stdout), done.stdout
 
 

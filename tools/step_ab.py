@@ -15,7 +15,9 @@ workloads do, after two warm-up steps:
 Step k of the parent and step k of the change run back to back, the parent
 first when k is even, so a drift in host speed hits both sides alike.
 Prints both sides' median step time and the median of the per-step ratios
-change / parent.  Two copies of one tree read about 1.00.
+change / parent.  Two copies of one tree read about 1.00.  A second line
+gives each side's mean presolve iterations per timed step, counted by
+wrapping that side's ``training._presolve``.
 """
 
 from __future__ import annotations
@@ -67,6 +69,15 @@ class Side:
             params = encoder.flocking_params(0)
             self.cfg = self.training.TrainConfig()
         self.state = self.training.init_train_state(params)
+        self.presolve_iters = 0
+        presolve = self.training._presolve
+
+        def counted(rec, op, dual, cfg):
+            out = presolve(rec, op, dual, cfg)
+            self.presolve_iters += out.iteration - dual.iteration
+            return out
+
+        self.training._presolve = counted
 
     def step(self) -> float:
         """Wall milliseconds of the next training step."""
@@ -93,6 +104,9 @@ def main(argv=None) -> int:
              for s, root in zip(SIDES, (args.parent, args.change))]
     ms = [[], []]
     for k in range(WARM_UP + args.steps):
+        if k == WARM_UP:
+            for side in sides:
+                side.presolve_iters = 0
         order = (0, 1) if k % 2 == 0 else (1, 0)
         for i in order:
             elapsed = sides[i].step()
@@ -103,6 +117,9 @@ def main(argv=None) -> int:
           f"parent median {statistics.median(ms[0]):.3f} ms, "
           f"change median {statistics.median(ms[1]):.3f} ms, "
           f"paired median ratio {ratio:.3f}")
+    print(f"{args.workload} presolve iterations per step: "
+          f"parent {sides[0].presolve_iters / args.steps:.1f}, "
+          f"change {sides[1].presolve_iters / args.steps:.1f}")
     return 0
 
 
