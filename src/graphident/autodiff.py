@@ -10,8 +10,10 @@ set covers the encoder forward pass and the training loss.  Two hot
 chains are single nodes with hand-written VJPs: ``mlp``, one fully
 connected stack, which runs its rows through every layer in cache-sized
 blocks, and the unrolled solve, which training records through ``custom``
-with the solver's own reverse step.  There is no checkpointing and no GPU
-path.  Everything is float64: downstream thresholds at 1e-5 make
+with the solver's own reverse step.  ``mlp`` routes its narrow products,
+outer products and ``G @ W.T``, around OpenBLAS's slow paths for them,
+with the same bits (see its docstring).  There is no checkpointing and
+no GPU path.  Everything is float64: downstream thresholds at 1e-5 make
 single precision risky.
 
 A recorded ``mlp`` takes its layer outputs and its input's adjoint from a
@@ -237,6 +239,15 @@ def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
     the blocks' shares, so their last bits may differ from the chain's
     sums over all rows.
 
+    Products take the path that OpenBLAS runs fastest with the chain's
+    bits.  One with a single column in its left factor, forward (fc2's
+    1-to-2 layer) or back (``G`` of a layer with one output, the top of
+    fc1 and fc2), is an outer product: one strided ``np.multiply`` per
+    output column (``_product``).  ``G @ W.T`` with wider ``G`` multiplies
+    a contiguous copy of ``W.T``, made once per sweep: the same sums as
+    the transposed view, at up to three times its speed.  A 1-row block
+    keeps the view, whose gemv rounds differently from the copy's.
+
     On a recorded tape, each layer's output and the input's adjoint come
     from ``_pooled``: the next recording of the same shapes reuses them
     once this one's values and gradients are gone.  The per-layer adjoints
@@ -276,7 +287,7 @@ def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
         for i, (W, act, buf) in enumerate(zip(Ws, acts, outs)):
             lo = start if len(buf) == rows else 0
             z = buf[lo:lo + stop - start]
-            np.matmul(x, W, z)
+            _product(x, W, z)
             z += tiles[i][:stop - start]
             if act == "tanh":
                 np.tanh(z, z)
@@ -292,6 +303,8 @@ def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
         adj = [np.empty((block, W.shape[1])) for W in Ws]
         factor = [np.empty((block, W.shape[1])) for W in Ws]
         cols = np.empty(block * max(W.shape[1] for W in Ws))
+        # Contiguous copies of each ``W.T``, for blocks of 2 or more rows.
+        WTs = [np.ascontiguousarray(W.T) for W in Ws]
         # Each block's share of every weight and bias gradient.  With one
         # block, the share is the gradient: no sum over blocks follows.
         part_Ws = [np.empty((len(blocks),) + W.shape) for W in Ws]
@@ -317,13 +330,26 @@ def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
                 np.copyto(cT, G.T)
                 np.add.reduce(cT, axis=1, out=part_bs[i][k])
                 src = adj[i - 1][:m] if i else g_h[start:stop]
-                np.matmul(G, Ws[i].T, src)
+                _product(G, WTs[i] if m > 1 else Ws[i].T, src)
         one = len(blocks) == 1
         return (g_h, *(p[0] if one else p.sum(axis=0)
                        for pair in zip(part_Ws, part_bs) for p in pair))
 
     parents = [h.index] + [v.index for pair in layers for v in pair]
     return h.tape._push(outs[-1], tuple(parents), vjp)
+
+
+def _product(x: np.ndarray, W: np.ndarray, out: np.ndarray) -> None:
+    """``x @ W`` into ``out``.  With one column in ``x`` the product is an
+    outer product, which OpenBLAS runs at about half the speed of one
+    strided ``np.multiply`` per output column.  Each entry is then one
+    rounded product, as in BLAS, so the values are the same; only a zero
+    product may carry a sign that BLAS drops."""
+    if W.shape[0] == 1:
+        for j in range(W.shape[1]):
+            np.multiply(x[:, 0], W[0, j], out[:, j])
+    else:
+        np.matmul(x, W, out)
 
 
 def custom(parents: Sequence[Var], value, vjp) -> Var:

@@ -9,6 +9,7 @@ little-endian values followed by the half-vectorized ground-truth weights.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -62,59 +63,58 @@ def write_dataset(records: list[SampleRecord], path,
         fh.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
         fh.write(blob)
         for r in records:
-            fh.write(np.ascontiguousarray(r.X, dtype="<f8").tobytes())
-            fh.write(half_vectorize(r.W).astype("<f8").tobytes())
+            fh.write(np.ascontiguousarray(r.X, dtype="<f8"))
+            fh.write(np.ascontiguousarray(half_vectorize(r.W), dtype="<f8"))
 
 
 def read_dataset(path) -> tuple[list[SampleRecord], dict]:
-    """Parse the container back into records plus the header dict."""
+    """Parse the container back into records plus the header dict.  Each
+    record is read straight into its arrays; the file is never held whole."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        size = os.fstat(fh.fileno()).st_size
+        preamble = fh.read(12)
+        if len(preamble) < 12:
+            raise SchemaError("file too short for the container preamble",
+                              offset=size)
+        if preamble[:4] != MAGIC:
+            raise SchemaError("bad magic; not a graphident dataset", offset=0)
+        version, header_len = struct.unpack("<II", preamble[4:12])
+        if version != FORMAT_VERSION:
+            raise SchemaError(f"unsupported dataset format version {version}",
+                              offset=4)
+        if size < 12 + header_len:
+            raise SchemaError("truncated header", offset=size)
+        text = fh.read(header_len)
 
-    if len(data) < 12:
-        raise SchemaError("file too short for the container preamble",
-                          offset=len(data))
-    if data[:4] != MAGIC:
-        raise SchemaError("bad magic; not a graphident dataset", offset=0)
-    version, header_len = struct.unpack("<II", data[4:12])
-    if version != FORMAT_VERSION:
-        raise SchemaError(f"unsupported dataset format version {version}",
-                          offset=4)
-    if len(data) < 12 + header_len:
-        raise SchemaError("truncated header", offset=len(data))
+        header = {}
+        for line in text.decode("utf-8").splitlines():
+            if not line.strip():
+                continue
+            key, _, value = line.partition("=")
+            header[key] = _parse_value(value)
+        for key in ("n", "s", "d", "num_records"):
+            if key not in header:
+                raise SchemaError(f"header is missing required key {key!r}",
+                                  offset=12)
 
-    header = {}
-    for line in data[12:12 + header_len].decode("utf-8").splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        header[key] = _parse_value(value)
-    for key in ("n", "s", "d", "num_records"):
-        if key not in header:
-            raise SchemaError(f"header is missing required key {key!r}",
-                              offset=12)
-
-    n, s, d = header["n"], header["s"], header["d"]
-    count = header["num_records"]
-    traj_len = n * s * d
-    vech_len = num_edges(n)
-    record_bytes = (traj_len + vech_len) * 8
-
-    offset = 12 + header_len
-    records = []
-    for k in range(count):
-        end = offset + record_bytes
-        if end > len(data):
-            raise SchemaError(
-                f"truncated record {k}: expected {record_bytes} bytes",
-                offset=len(data))
-        payload = np.frombuffer(data[offset:end], dtype="<f8")
-        X = payload[:traj_len].reshape(n, s, d).copy()
-        W = devectorize(payload[traj_len:], n)
-        records.append(SampleRecord(X=X, W=W, meta=dict(header, window=k)))
-        offset = end
-    if offset != len(data):
-        raise SchemaError(
-            f"{len(data) - offset} trailing bytes after the last record",
-            offset=offset)
+        n, s, d = header["n"], header["s"], header["d"]
+        count = header["num_records"]
+        record_bytes = (n * s * d + num_edges(n)) * 8
+        offset = 12 + header_len
+        records = []
+        for k in range(count):
+            if offset + record_bytes > size:
+                raise SchemaError(
+                    f"truncated record {k}: expected {record_bytes} bytes",
+                    offset=size)
+            X = np.empty((n, s, d), dtype="<f8")
+            vech = np.empty(num_edges(n), dtype="<f8")
+            fh.readinto(X)
+            fh.readinto(vech)
+            records.append(SampleRecord(X=X, W=devectorize(vech, n),
+                                        meta=dict(header, window=k)))
+            offset += record_bytes
+    if offset != size:
+        raise SchemaError(f"{size - offset} trailing bytes after the last "
+                          "record", offset=offset)
     return records, header

@@ -71,6 +71,8 @@ class TrainConfig:
             raise DimensionError("presolve_iters cannot be negative")
         if self.sample_refresh_period < 1:
             raise DimensionError("sample_refresh_period must be at least 1")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise DimensionError("grad_clip must be positive or null")
 
 
 @dataclass
@@ -227,41 +229,56 @@ def unrolled_identify(X: np.ndarray, params: EncoderParams,
 # --- Adam ----------------------------------------------------------------------
 
 
+def _flat(arrays: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([a.reshape(-1) for a in arrays])
+
+
+def _split(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Views of ``flat`` shaped as the arrays of ``like``, in order."""
+    bounds = np.cumsum([0] + [a.size for a in like])
+    return [flat[lo:hi].reshape(a.shape)
+            for a, lo, hi in zip(like, bounds[:-1], bounds[1:])]
+
+
 def adam_update(state: TrainState, grads: list[np.ndarray],
                 cfg: TrainConfig) -> TrainState:
     """Bias-corrected Adam step.  Non-finite gradients reject the step: the
-    state (including the counter) is returned unchanged."""
-    if any(not np.all(np.isfinite(g)) for g in grads):
+    state (including the counter) is returned unchanged.
+
+    The step runs once over all parameters laid end to end, elementwise as
+    a loop over the arrays would, so with the same bits; the new
+    parameters and moments are views of the flat results."""
+    g = _flat(grads)
+    if not np.isfinite(g).all():
         log.warning("step %d rejected: non-finite gradient", state.step)
         return state
     arrays = params_to_arrays(state.params)
-    if len(grads) != len(arrays):
+    if [a.shape for a in grads] != [a.shape for a in arrays]:
         raise DimensionError("gradient list does not match parameter layout")
     t = state.step + 1
-    new_arrays, new_m, new_v = [], [], []
-    for a, g, m, v in zip(arrays, grads, state.adam_m, state.adam_v):
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        new_arrays.append(a - cfg.learning_rate * m_hat
-                          / (np.sqrt(v_hat) + ADAM_EPS))
-        new_m.append(m)
-        new_v.append(v)
-    return TrainState(params=arrays_to_params(new_arrays, state.params),
-                      adam_m=new_m, adam_v=new_v, step=t,
-                      dual=state.dual, sample_id=state.sample_id)
+    m = ADAM_BETA1 * _flat(state.adam_m) + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * _flat(state.adam_v) + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new = _flat(arrays) - cfg.learning_rate * m_hat / (np.sqrt(v_hat)
+                                                       + ADAM_EPS)
+    return TrainState(params=arrays_to_params(_split(new, arrays),
+                                              state.params),
+                      adam_m=_split(m, arrays), adam_v=_split(v, arrays),
+                      step=t, dual=state.dual, sample_id=state.sample_id)
 
 
 def clip_gradients(grads: list[np.ndarray], max_norm: float | None
                    ) -> list[np.ndarray]:
+    """Scale ``grads`` to a global norm of at most ``max_norm``.  The norm
+    adds up each array's own sum of squares; the scaling is one product
+    over the arrays laid end to end."""
     if max_norm is None:
         return grads
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
     if total <= max_norm or total == 0.0:
         return grads
-    factor = max_norm / total
-    return [g * factor for g in grads]
+    return _split(_flat(grads) * (max_norm / total), grads)
 
 
 # --- training loop -------------------------------------------------------------
@@ -381,7 +398,7 @@ def train(records: list[SampleRecord], cfg: TrainConfig,
 
             loss_var = loss_on_tape(result.w, w_hat)
             grads_all = ad.backward(result.tape, loss_var)
-            grads = clip_gradients([grads_all[leaf].copy()
+            grads = clip_gradients([grads_all[leaf]
                                     for leaf in result.param_leaves],
                                    cfg.grad_clip)
 

@@ -223,12 +223,13 @@ class TestMlp:
     ROWS = [1, 300, 2 * BLOCK, 2 * BLOCK + 1, 2 * BLOCK + 777]
 
     @staticmethod
-    def fused_and_chain(rows, last):
+    def fused_and_chain(rows, last, widths=(2, 5, 10, 5, 1)):
         # One row, less than a block, a multiple of the block, a one-row
-        # tail and a longer ragged tail, through the formation fc1 widths.
+        # tail and a longer ragged tail, by default through the formation
+        # fc1 widths.
         rng = np.random.default_rng(rows)
-        arrays = stack_arrays(rows, (2, 5, 10, 5, 1), rng)
-        r = rng.normal(size=(rows, 1))
+        arrays = stack_arrays(rows, widths, rng)
+        r = rng.normal(size=(rows, widths[-1]))
         return (value_and_grads(ad.mlp, arrays, last, r),
                 value_and_grads(chain_mlp, arrays, last, r))
 
@@ -246,6 +247,19 @@ class TestMlp:
     def test_gradients_near_the_chain(self, rows, last):
         fused, chain = self.fused_and_chain(rows, last)
         assert_gradients_near(fused[2:], chain[2:])
+
+    @pytest.mark.parametrize("last", ["tanh", "linear", "sigmoid"])
+    @pytest.mark.parametrize("widths", [(1, 2, 1), (2, 4, 4, 1)])
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_narrow_stacks_bit_identical_to_the_chain(self, rows, widths,
+                                                      last):
+        # The widths of fc2 and the heads, whose products are outer
+        # products forward and back, and of the flocking fc1.  The value
+        # and the input's adjoint keep every bit of the chain's, the sign
+        # of each value included.
+        fused, chain = self.fused_and_chain(rows, last, widths)
+        for a, c in zip(fused[:2], chain[:2]):
+            assert a.shape == c.shape and a.tobytes() == c.tobytes()
 
     @pytest.mark.parametrize("last", ["tanh", "linear", "sigmoid"])
     def test_gradient(self, last):

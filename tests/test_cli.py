@@ -167,6 +167,16 @@ class TestTrain:
                     "--out", str(tmp_path / "run")]) == 2
         assert "learning_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("clip", [-1.0, 0])
+    def test_grad_clip_not_positive_names_field(self, tmp_path, capsys, clip):
+        dataset = self.make_dataset(tmp_path)
+        cfg = write_config(tmp_path / "t.json",
+                           {"total_steps": 1, "grad_clip": clip})
+        assert run(["train", "--config", cfg, "--dataset", dataset,
+                    "--out", str(tmp_path / "run")]) == 2
+        assert "grad_clip" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
+
     def test_full_scale_is_not_a_train_flag(self, tmp_path):
         # ``train`` has no full-scale size, so the flag is refused.
         cfg = write_config(tmp_path / "t.json", {"total_steps": 1})

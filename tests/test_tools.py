@@ -20,6 +20,17 @@ def test_step_faults_prints_time_and_faults_per_step():
         r"median \d+ minor faults per step\n", done.stdout), done.stdout
 
 
+def test_step_faults_runs_the_flocking_workload():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "step_faults.py"),
+         "--workload", "flocking", "--steps", "3"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert re.fullmatch(
+        r"flocking steps: 3, median \d+\.\d\d ms, "
+        r"median \d+ minor faults per step\n", done.stdout), done.stdout
+
+
 def test_step_ab_prints_both_medians_and_the_paired_ratio():
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "step_ab.py"), str(ROOT),
@@ -30,7 +41,9 @@ def test_step_ab_prints_both_medians_and_the_paired_ratio():
         r"flocking steps: 3, parent median \d+\.\d{3} ms, "
         r"change median \d+\.\d{3} ms, paired median ratio \d+\.\d{3}\n"
         r"flocking presolve iterations per step: "
-        r"parent (\d+\.\d), change \1\n",
+        r"parent (\d+\.\d), change \1\n"
+        r"flocking minor faults per step: "
+        r"parent median \d+, change median \d+\n",
         done.stdout), done.stdout
 
 

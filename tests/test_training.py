@@ -539,6 +539,68 @@ class TestAdam:
         assert tr.clip_gradients(grads, None) is grads
 
 
+def reference_adam_step(arrays, m, v, step, grads, cfg):
+    """``clip_gradients`` and ``adam_update`` written out array by array:
+    the new arrays, moments and step count, unchanged on a non-finite
+    gradient."""
+    if any(not np.all(np.isfinite(g)) for g in grads):
+        return arrays, m, v, step
+    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    if total > cfg.grad_clip:
+        grads = [g * (cfg.grad_clip / total) for g in grads]
+    t = step + 1
+    out = [], [], []
+    for a, g, mk, vk in zip(arrays, grads, m, v):
+        mk = tr.ADAM_BETA1 * mk + (1.0 - tr.ADAM_BETA1) * g
+        vk = tr.ADAM_BETA2 * vk + (1.0 - tr.ADAM_BETA2) * g * g
+        m_hat = mk / (1.0 - tr.ADAM_BETA1 ** t)
+        v_hat = vk / (1.0 - tr.ADAM_BETA2 ** t)
+        out[0].append(a - cfg.learning_rate * m_hat
+                      / (np.sqrt(v_hat) + tr.ADAM_EPS))
+        out[1].append(mk)
+        out[2].append(vk)
+    return (*out, t)
+
+
+class TestFlatAdam:
+    """Adam and clipping run over all parameters laid end to end, with the
+    bits of a loop over the arrays."""
+
+    def test_matches_the_per_array_loop(self):
+        cfg = tr.TrainConfig(learning_rate=0.01, grad_clip=5.0)
+        rng = np.random.default_rng(21)
+        state = tr.init_train_state(formation_params(seed=4))
+        ref = (params_to_arrays(state.params), state.adam_m, state.adam_v, 0)
+        norms = []
+        for k in range(8):
+            # Step 3 is clipped, step 5 rejected.
+            grads = [rng.normal(scale=0.1, size=a.shape)
+                     for a in params_to_arrays(state.params)]
+            if k == 3:
+                grads = [g * 100.0 for g in grads]
+            if k == 5:
+                grads[7][0] = np.inf
+            norms.append(np.sqrt(sum(np.sum(g * g) for g in grads)))
+            # Clipping scales an infinite gradient by 0, to NaN.
+            with np.errstate(invalid="ignore"):
+                grads_in = tr.clip_gradients(grads, 5.0)
+            state = tr.adam_update(state, grads_in, cfg)
+            ref = reference_adam_step(*ref, grads, cfg)
+            assert state.step == ref[3]
+            for new, old in zip((params_to_arrays(state.params),
+                                 state.adam_m, state.adam_v), ref[:3]):
+                assert [a.shape for a in new] == [a.shape for a in old]
+                assert all(np.array_equal(a, b) for a, b in zip(new, old))
+        assert state.step == 7
+        assert [k for k, x in enumerate(norms) if x > 5.0] == [3, 5]
+
+    def test_rejects_a_gradient_of_another_layout(self):
+        state = tr.init_train_state(formation_params(seed=4))
+        grads = [np.zeros(a.size) for a in params_to_arrays(state.params)]
+        with pytest.raises(DimensionError):
+            tr.adam_update(state, grads, tr.TrainConfig())
+
+
 class TestPresolve:
     def test_spends_its_budget_rather_than_stop_at_an_isolating_iterate(self):
         # On these raw distances at n=200 the first relative dual step is
@@ -627,6 +689,15 @@ class TestTrainLoop:
         with pytest.raises(DimensionError):
             tr.TrainConfig(sample_refresh_period=period)
         tr.TrainConfig(sample_refresh_period=1)
+
+    @pytest.mark.parametrize("clip", [-1.0, 0.0, float("nan")])
+    def test_grad_clip_not_positive_rejected(self, clip):
+        # A negative bound would flip every clipped gradient, so training
+        # climbs the loss, and 0 would zero them.
+        with pytest.raises(DimensionError, match="grad_clip"):
+            tr.TrainConfig(grad_clip=clip)
+        tr.TrainConfig(grad_clip=None)
+        tr.TrainConfig(grad_clip=1e-9)
 
     def test_flocking_sample_refresh(self):
         rng = np.random.default_rng(11)

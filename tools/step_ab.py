@@ -17,7 +17,11 @@ first when k is even, so a drift in host speed hits both sides alike.
 Prints both sides' median step time and the median of the per-step ratios
 change / parent.  Two copies of one tree read about 1.00.  A second line
 gives each side's mean presolve iterations per timed step, counted by
-wrapping that side's ``training._presolve``.
+wrapping that side's ``training._presolve``, and a third each side's
+median minor page faults per timed step, from the ``ru_minflt`` deltas
+around that side's steps.  Both sides share one process and its heap, so
+pages one side frees may serve the other; ``tools/step_faults.py`` counts
+one checkout's faults alone.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import argparse
 import dataclasses
 import importlib
 import importlib.util
+import resource
 import statistics
 import sys
 import time
@@ -79,13 +84,17 @@ class Side:
 
         self.training._presolve = counted
 
-    def step(self) -> float:
-        """Wall milliseconds of the next training step."""
+    def step(self) -> tuple[float, int]:
+        """Wall milliseconds and minor page faults of the next training
+        step."""
         cfg = dataclasses.replace(self.cfg, total_steps=self.state.step + 1)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         started = time.perf_counter()
         self.state, _ = self.training.train(self.records, cfg,
                                             state=self.state)
-        return (time.perf_counter() - started) * 1e3
+        elapsed = (time.perf_counter() - started) * 1e3
+        return (elapsed,
+                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
 
 
 def main(argv=None) -> int:
@@ -102,16 +111,17 @@ def main(argv=None) -> int:
         parser.error("--steps must be at least 1")
     sides = [Side(f"graphident_{s}", root.resolve(), args.workload)
              for s, root in zip(SIDES, (args.parent, args.change))]
-    ms = [[], []]
+    ms, faults = [[], []], [[], []]
     for k in range(WARM_UP + args.steps):
         if k == WARM_UP:
             for side in sides:
                 side.presolve_iters = 0
         order = (0, 1) if k % 2 == 0 else (1, 0)
         for i in order:
-            elapsed = sides[i].step()
+            elapsed, faulted = sides[i].step()
             if k >= WARM_UP:
                 ms[i].append(elapsed)
+                faults[i].append(faulted)
     ratio = statistics.median(c / p for p, c in zip(*ms))
     print(f"{args.workload} steps: {args.steps}, "
           f"parent median {statistics.median(ms[0]):.3f} ms, "
@@ -120,6 +130,9 @@ def main(argv=None) -> int:
     print(f"{args.workload} presolve iterations per step: "
           f"parent {sides[0].presolve_iters / args.steps:.1f}, "
           f"change {sides[1].presolve_iters / args.steps:.1f}")
+    print(f"{args.workload} minor faults per step: "
+          f"parent median {statistics.median(faults[0]):.0f}, "
+          f"change median {statistics.median(faults[1]):.0f}")
     return 0
 
 
