@@ -2,8 +2,10 @@
 
 Subcommands: ``gen-formation``, ``gen-flocking``, ``train``, ``eval``,
 ``baseline``.  Every run is driven by a JSON config plus a handful of flags;
-rerunning any subcommand with the same config reproduces its outputs.  The
-``GRAPHIDENT_LOG`` environment variable sets log verbosity.
+rerunning any subcommand with the same config under the same
+``OPENBLAS_NUM_THREADS`` reproduces its outputs (the BLAS thread count can
+change the last bits of a matrix product).  The ``GRAPHIDENT_LOG``
+environment variable sets log verbosity.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 """

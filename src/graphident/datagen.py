@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InvariantError, SimulationError
+from .errors import (DimensionError, InvariantError, SimulationError,
+                     require_finite)
 from .graphcore import laplacian, upper_indices
 
 _EIG_ZERO = 1e-10
@@ -33,6 +34,7 @@ class FormationSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self, ("p", "sigma"), InvariantError)
         if not 0 < self.p < 1:
             raise InvariantError("edge probability must lie strictly in (0, 1)")
         if self.sigma <= 0:
@@ -74,6 +76,9 @@ class FlockingSpec:
         except (TypeError, ValueError) as exc:
             raise InvariantError("goal must be an [x, y] pair") from exc
         object.__setattr__(self, "goal", (gx, gy))
+        require_finite(self, ("rho", "r_comm", "duration", "dt", "spawn_side",
+                              "goal", "eps", "a", "b", "h", "c1", "c2"),
+                       InvariantError)
         if self.rho >= self.r_comm:
             raise InvariantError("desired spacing must be below the comm radius")
         if self.dt <= 0:

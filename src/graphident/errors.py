@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import math
+
 
 class GraphIdentError(Exception):
     """Base class for all graphident errors."""
@@ -55,3 +57,15 @@ class TrainStepError(GraphIdentError, RuntimeError):
         super().__init__(message)
         self.step = step
         self.diagnostics = diagnostics or {}
+
+
+def require_finite(config, names: tuple[str, ...], error: type) -> None:
+    """Raise ``error`` naming the first field of ``config`` among ``names``
+    that holds NaN or an infinity, or a pair that holds one; None passes.
+    A config checks its float fields with it first, because NaN fails
+    every comparison and so passes a check written as ``x <= 0``."""
+    for name in names:
+        value = getattr(config, name)
+        values = value if isinstance(value, tuple) else (value,)
+        if not all(v is None or math.isfinite(v) for v in values):
+            raise error(f"{name} must be finite, got {value}")

@@ -17,7 +17,7 @@ import numpy as np
 from .datagen import (FlockingSpec, SampleRecord, generate_flocking_windows,
                       sample_er_graph, sample_smooth_signals)
 from .encoder import EncoderParams, encode
-from .errors import DimensionError, InvariantError
+from .errors import DimensionError, InvariantError, require_finite
 from .graphcore import (devectorize, distance_matrix, edge_density,
                         edge_recovery, half_vectorize, mae)
 from .solver import SolverConfig, identify_graph
@@ -86,6 +86,7 @@ class FormationGrid:
     def __post_init__(self):
         # Checked here, before a sweep starts, so that a bad grid is a
         # config error that names its field rather than a failure midway.
+        require_finite(self, ("sigma", "tol", "threshold"), InvariantError)
         if not all(_is_int(n) and n >= 2 for n in self.n_values):
             raise InvariantError("n_values must be integers of at least 2")
         if not all(_is_real(p) and 0 < p < 1 for p in self.p_values):

@@ -93,8 +93,10 @@ class DegreeOperator:
         d += np.bincount(self.cols, w, self.n)
         return d
 
-    def pair_sum(self, lam: np.ndarray) -> np.ndarray:
-        return lam[self.rows] + lam[self.cols]
+    def pair_sum(self, lam: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+        """``S' lam``, into ``out`` when given."""
+        return np.add(lam[self.rows], lam[self.cols], out)
 
 
 def build_sum_operator(n: int) -> np.ndarray:

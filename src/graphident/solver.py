@@ -24,7 +24,11 @@ a restart test inside it would make the loss jump wherever a parameter
 change flips the test.  ``dual_step_vjp`` is the step's reverse, which
 training sweeps back over an unrolled run.  It reads the values the forward
 step computed and saved (``z``, ``r``, ``Sw - u`` and the momentum factor),
-so the sweep recomputes none of them.
+so the sweep recomputes none of them.  Both steps can write into rows that
+the caller allocated once for a whole run.  The reverse step's adjoints of
+``y``, ``alpha``, ``beta`` and L feed nothing else in it, so
+``reverse_sums`` can form them for many steps at once, one step per row,
+with the bits that each step gets alone.
 
 ``reference_solve`` is a deliberately independent check: projected gradient
 descent with Armijo backtracking on the primal, sharing no code with the
@@ -38,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalFailure, OracleFailure
+from .errors import (DimensionError, NumericalFailure, OracleFailure,
+                     require_finite)
 from .graphcore import (DegreeOperator, build_sum_operator,
                         nodes_from_edge_count, num_edges)
 
@@ -53,6 +58,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self, ("alpha", "beta", "tol"), DimensionError)
         if self.alpha <= 0 or self.beta <= 0:
             raise DimensionError("alpha and beta must be positive")
         if self.max_iters < 1:
@@ -100,31 +106,35 @@ def init_dual_state(n: int, seed: int) -> DualState:
 
 
 def dual_step(y: np.ndarray, op: DegreeOperator, alpha: float, beta: float,
-              lipschitz: float, state: DualState, saved: list | None = None
-              ) -> tuple[np.ndarray, DualState]:
+              lipschitz: float, state: DualState, saved: list | None = None,
+              out: tuple | None = None) -> tuple[np.ndarray, DualState]:
     """One iteration of the dual method; returns the primal iterate and the
     advanced state.  The training unroll runs it and differentiates it with
     ``dual_step_vjp``: given a list ``saved``, the step appends to it the
-    values that its reverse step reads, ``(z, r, Sw - u, c)``."""
-    w = op.pair_sum(state.omega)
+    values that its reverse step reads, ``(z, r, Sw - u, c)``.  Given
+    ``out``, rows ``(w, lam, omega, z, r, Sw - u)`` of the right lengths,
+    the step writes those values into them instead of new arrays; the
+    returned iterate and state then hold the rows."""
+    w, lam, omega, z, r, d = (None,) * 6 if out is None else out
+    w = op.pair_sum(state.omega, w)
     w -= 2.0 * y
     w /= 2.0 * beta
     np.maximum(0.0, w, out=w)
     Sw = op.degree(w)
-    z = lipschitz * state.omega
+    z = np.multiply(lipschitz, state.omega, z)
     np.subtract(Sw, z, z)
-    r = z * z
+    r = np.multiply(z, z, r)
     r += 4.0 * alpha * lipschitz
     np.sqrt(r, r)
-    u = z + r
+    u = np.add(z, r, d)
     u *= 0.5
     # Sw - u, kept for the reverse step, then the multiplier step.
     d = np.subtract(Sw, u, u)
-    lam = d / lipschitz
+    lam = np.divide(d, lipschitz, lam)
     np.subtract(state.omega, lam, lam)
     tau_next = (1.0 + math.sqrt(1.0 + 4.0 * state.tau * state.tau)) / 2.0
     c = (state.tau - 1.0) / tau_next
-    omega = lam - state.lam
+    omega = np.subtract(lam, state.lam, omega)
     omega *= c
     omega += lam
     if saved is not None:
@@ -135,7 +145,8 @@ def dual_step(y: np.ndarray, op: DegreeOperator, alpha: float, beta: float,
 
 def dual_step_vjp(y: np.ndarray, op: DegreeOperator, alpha: float,
                   beta: float, lipschitz: float, state: DualState,
-                  w: np.ndarray, g_w, g_lam, g_omega, saved: tuple) -> tuple:
+                  w: np.ndarray, g_w, g_lam, g_omega, saved: tuple,
+                  out: tuple | None = None) -> tuple:
     """Reverse of ``dual_step`` from ``state``, whose primal iterate was
     ``w``.  Given the adjoints of the step's outputs ``w``, ``lam`` and
     ``omega`` (0.0 for none), returns the adjoints of its inputs ``y``,
@@ -146,34 +157,54 @@ def dual_step_vjp(y: np.ndarray, op: DegreeOperator, alpha: float,
     Besides ``w``, the reverse step reads what the forward step computed:
     ``z`` = Sw - L omega, ``r`` = sqrt(z^2 + 4 alpha L), ``Sw - u`` and the
     momentum factor ``c``: ``saved``, the tuple that ``dual_step`` appends
-    to its ``saved`` list."""
+    to its ``saved`` list.
+
+    The first four adjoints feed nothing else in the step; ``reverse_sums``
+    forms them from the step's vectors: the adjoints of ``lam``, of
+    ``q`` = z^2 + 4 alpha L, of ``z`` and of ``v``, masked (see the
+    comments).  Given ``out``, rows of lengths (n, n, n, m), the step
+    writes those four vectors to them and returns None for the four
+    adjoints, so that a caller can form them for many steps at once."""
     z, r, d, c = saved
+    g_lam_out, g_q, g_z, g_v = (None,) * 4 if out is None else out
     # omega' = lam + c (lam - lam_prev)
-    g_lam = g_lam + (1.0 + c) * g_omega
+    g_lam = np.add(g_lam, (1.0 + c) * g_omega, g_lam_out)
     g_lam_prev = -c * g_omega
-    # lam = omega - (Sw - u) / L, u = (z + r) / 2, r = sqrt(z^2 + 4 alpha L)
+    # lam = omega - (Sw - u) / L, u = (z + r) / 2, r = sqrt(q)
     g_u = g_lam / lipschitz
-    g_q = 4.0 * r
+    g_q = np.multiply(4.0, r, g_q)
     np.divide(g_u, g_q, g_q)
-    g_z = 2.0 * z
+    g_z = np.multiply(2.0, z, g_z)
     g_z *= g_q
     g_z += 0.5 * g_u
-    sum_q = g_q.sum()
-    g_alpha = 4.0 * lipschitz * sum_q
-    g_lipschitz = ((g_lam * d).sum() / (lipschitz * lipschitz)
-                   + 4.0 * alpha * sum_q - (g_z * state.omega).sum())
     # z = Sw - L omega
     g_omega_in = lipschitz * g_z
     np.subtract(g_lam, g_omega_in, g_omega_in)
-    g_z -= g_u
-    g_v = op.pair_sum(g_z)
+    g_v = op.pair_sum(g_z - g_u, g_v)
     g_v += g_w
-    # w = max(0, (S' omega - 2 y) / (2 beta)), which equals w where w > 0
+    # w = max(0, v) with v = (S' omega - 2 y) / (2 beta), v = w where w > 0
     g_v *= w > 0
     g_omega_in += op.degree(g_v / (2.0 * beta))
-    g_beta = -(g_v * w).sum() / beta
-    g_v /= -beta
-    return g_v, g_alpha, g_beta, g_lipschitz, g_omega_in, g_lam_prev
+    if out is not None:
+        return None, None, None, None, g_omega_in, g_lam_prev
+    return (*reverse_sums(alpha, beta, lipschitz, state.omega, w, d, g_lam,
+                          g_q, g_z, g_v), g_omega_in, g_lam_prev)
+
+
+def reverse_sums(alpha: float, beta: float, lipschitz: float, omega, w, d,
+                 g_lam, g_q, g_z, g_v) -> tuple:
+    """The adjoints of ``y``, ``alpha``, ``beta`` and ``lipschitz`` of a
+    reverse step, from the step's input ``omega``, iterate ``w`` and saved
+    ``Sw - u``, and the vectors that ``dual_step_vjp`` writes to its
+    ``out`` rows.  Given blocks with one step per row, it returns one
+    adjoint of ``y`` and one of each scalar per row, each with the bits
+    that it has for that row alone."""
+    sum_q = g_q.sum(axis=-1)
+    g_alpha = 4.0 * lipschitz * sum_q
+    g_lipschitz = ((g_lam * d).sum(axis=-1) / (lipschitz * lipschitz)
+                   + 4.0 * alpha * sum_q - (g_z * omega).sum(axis=-1))
+    g_beta = -(g_v * w).sum(axis=-1) / beta
+    return g_v / -beta, g_alpha, g_beta, g_lipschitz
 
 
 def advance(y: np.ndarray, op: DegreeOperator, alpha: float, beta: float,

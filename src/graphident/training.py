@@ -5,11 +5,15 @@ An untaped presolve advances the solver's dual state from that recording's
 values with ``solver.advance``, the loop identification runs, momentum
 restart included; a truncated number of plain solver iterations then
 continues it as one node on the same tape, whose VJP is the solver's
-reverse step swept back over the saved iterates.  The loss is applied to
-the resulting edge weights, and the gradient flows back into the encoder
-parameters.  The dual state persists across steps while the active sample
-stays the same (truncated unrolling) and is re-seeded whenever the sample
-changes.
+reverse step swept back over the saved iterates.  The unroll writes each
+iteration into its own row of blocks allocated once per node, and the
+sweep leaves each step's scalar-sum vectors in rows that one reduction
+adds up afterwards, with the bits of a per-step loop.  The loss is applied
+to the resulting edge weights, and the gradient flows back into the
+encoder parameters.  Adam keeps the parameters and its moments as flat
+vectors, so that a step is one update over all of them.  The dual state
+persists across steps while the active sample stays the same (truncated
+unrolling) and is re-seeded whenever the sample changes.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import logging
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,11 +34,11 @@ from .encoder import (EncoderParams, arrays_from_doc, arrays_to_params,
                       params_to_arrays, params_to_doc, read_checkpoint,
                       write_checkpoint)
 from .errors import (DimensionError, InvariantError, NumericalFailure,
-                     SchemaError, TrainStepError)
+                     SchemaError, TrainStepError, require_finite)
 from .graphcore import (SYM_ATOL, DegreeOperator, devectorize,
                         half_vectorize, mae, nodes_from_edge_count)
 from .solver import (DualState, advance, dual_step, dual_step_vjp,
-                     init_dual_state)
+                     init_dual_state, reverse_sums)
 
 log = logging.getLogger("graphident.training")
 
@@ -63,6 +68,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self, ("learning_rate", "grad_clip"), DimensionError)
         if self.learning_rate < 0:
             raise DimensionError("learning_rate must be nonnegative")
         if self.unroll_steps < 1:
@@ -77,19 +83,37 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    params: EncoderParams
-    adam_m: list[np.ndarray]
-    adam_v: list[np.ndarray]
+    """Where training stands.  The encoder parameters and Adam's two moments
+    are three flat vectors in ``params_to_arrays`` order, ``theta``, ``m``
+    and ``v``; ``params``, ``adam_m`` and ``adam_v`` are views of them,
+    shaped as the arrays of ``layout``.  ``layout`` sets the shapes and
+    the encoder's settings; its values are not read."""
+    layout: EncoderParams
+    theta: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     dual: DualState | None = None
     sample_id: int = 0
+    params: EncoderParams = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.params = arrays_to_params(
+            _split(self.theta, params_to_arrays(self.layout)), self.layout)
+
+    @property
+    def adam_m(self) -> list[np.ndarray]:
+        return _split(self.m, params_to_arrays(self.layout))
+
+    @property
+    def adam_v(self) -> list[np.ndarray]:
+        return _split(self.v, params_to_arrays(self.layout))
 
 
 def init_train_state(params: EncoderParams) -> TrainState:
-    arrays = params_to_arrays(params)
-    return TrainState(params=params,
-                      adam_m=[np.zeros_like(a) for a in arrays],
-                      adam_v=[np.zeros_like(a) for a in arrays])
+    theta = _flat(params_to_arrays(params))
+    return TrainState(params, theta, np.zeros_like(theta),
+                      np.zeros_like(theta))
 
 
 # --- loss --------------------------------------------------------------------
@@ -174,37 +198,64 @@ def unroll(rec: EncoderRecording, op: DegreeOperator, unroll_steps: int,
     as one node on the tape of ``rec``, after the encoder.
 
     The forward pass is ``solver.dual_step`` itself, run ``unroll_steps``
-    times with no stop rule or restart.  The node keeps every step's input
-    state, primal iterate and the values the step saved for its reverse;
-    its VJP sweeps ``solver.dual_step_vjp`` back over them to ``y``,
-    ``alpha`` and ``beta``, recomputing nothing.  The starting dual is a
-    constant.
+    times with no stop rule or restart, each step writing its iterate,
+    multipliers and the values it saves for its reverse into its own row
+    of blocks allocated once.  Finiteness is checked once, on the blocks,
+    after the loop; a non-finite iterate raises ``TrainStepError`` naming
+    the first step that made one.  The node's VJP sweeps
+    ``solver.dual_step_vjp`` back over the rows to ``y``, ``alpha`` and
+    ``beta``, recomputing nothing.  The sweep leaves its per-step adjoints
+    of ``y`` and the vectors behind those of ``alpha``, ``beta`` and L in
+    rows too; one row reduction and a running sum over the steps then add
+    them up as a loop over the steps would, bit for bit.  The starting
+    dual is a constant.
     """
     if unroll_steps < 1:
         raise DimensionError("need at least one unrolled iteration")
     y, alpha, beta = rec.y.value, float(rec.alpha.value), float(rec.beta.value)
     lipschitz = (op.n - 1) / beta
-    states, ws, saved = [], [], []
-    for k in range(unroll_steps):
+    steps, n, m = unroll_steps, op.n, y.size
+    # Each step's iterate, multipliers, z, r and Sw - u.
+    ws = np.empty((steps, m))
+    lams, zs, rs, ds = np.empty((4, steps, n))
+    # Row k is step k's extrapolated input point, the start's first.
+    omegas = np.empty((steps + 1, n))
+    omegas[0] = dual.omega
+    states, saved = [], []
+    for k in range(steps):
         states.append(dual)
-        w, dual = dual_step(y, op, alpha, beta, lipschitz, dual, saved)
-        if not (np.isfinite(dual.lam).all() and np.isfinite(w).all()):
-            raise TrainStepError(
-                f"non-finite solver iterate at unroll step {k}",
-                diagnostics={"unroll_step": k, "alpha": alpha, "beta": beta})
-        ws.append(w)
+        w, dual = dual_step(y, op, alpha, beta, lipschitz, dual, saved,
+                            (ws[k], lams[k], omegas[k + 1], zs[k], rs[k],
+                             ds[k]))
+    finite = np.isfinite(ws).all(axis=1) & np.isfinite(lams).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise TrainStepError(
+            f"non-finite solver iterate at unroll step {k}",
+            diagnostics={"unroll_step": k, "alpha": alpha, "beta": beta})
 
     def vjp(g):
+        # Row j of these blocks holds step ``steps - 1 - j``, the j-th of
+        # the sweep, so that adding the rows in order repeats the running
+        # sums of a loop over the sweep.
+        g_lams, g_qs, g_zs = np.empty((3, steps, n))
+        g_vs = np.empty((steps, m))
         g_w, g_lam, g_omega = g, 0.0, 0.0
-        g_y, g_alpha, g_beta, g_lipschitz = 0.0, 0.0, 0.0, 0.0
-        for state, w, fwd in zip(reversed(states), reversed(ws),
-                                 reversed(saved)):
-            gy, ga, gb, gl, g_omega, g_lam = dual_step_vjp(
-                y, op, alpha, beta, lipschitz, state, w, g_w, g_lam, g_omega,
-                fwd)
+        for j in range(steps):
+            k = steps - 1 - j
+            *_, g_omega, g_lam = dual_step_vjp(
+                y, op, alpha, beta, lipschitz, states[k], ws[k], g_w, g_lam,
+                g_omega, saved[k], (g_lams[j], g_qs[j], g_zs[j], g_vs[j]))
             g_w = 0.0
-            g_y, g_alpha = g_y + gy, g_alpha + ga
-            g_beta, g_lipschitz = g_beta + gb, g_lipschitz + gl
+        g_ys, *per_step = reverse_sums(alpha, beta, lipschitz,
+                                       omegas[-2::-1], ws[::-1], ds[::-1],
+                                       g_lams, g_qs, g_zs, g_vs)
+        # The sweep's sums start from 0.0.  ``accumulate`` starts from the
+        # first row instead; adding 0.0 last gives the same bits, the sign
+        # of a zero included.
+        g_alpha, g_beta, g_lipschitz = (np.add.accumulate(a)[-1] + 0.0
+                                        for a in per_step)
+        g_y = np.add.reduce(g_ys, axis=0, initial=0.0)
         return g_y, g_alpha, g_beta - g_lipschitz * (op.n - 1) / (beta * beta)
 
     w = ad.custom((rec.y, rec.alpha, rec.beta), ws[-1], vjp)
@@ -235,9 +286,11 @@ def _flat(arrays: list[np.ndarray]) -> np.ndarray:
 
 def _split(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
     """Views of ``flat`` shaped as the arrays of ``like``, in order."""
-    bounds = np.cumsum([0] + [a.size for a in like])
-    return [flat[lo:hi].reshape(a.shape)
-            for a, lo, hi in zip(like, bounds[:-1], bounds[1:])]
+    views, lo = [], 0
+    for a in like:
+        views.append(flat[lo:lo + a.size].reshape(a.shape))
+        lo += a.size
+    return views
 
 
 def adam_update(state: TrainState, grads: list[np.ndarray],
@@ -245,40 +298,41 @@ def adam_update(state: TrainState, grads: list[np.ndarray],
     """Bias-corrected Adam step.  Non-finite gradients reject the step: the
     state (including the counter) is returned unchanged.
 
-    The step runs once over all parameters laid end to end, elementwise as
-    a loop over the arrays would, so with the same bits; the new
-    parameters and moments are views of the flat results."""
+    The step runs once over the state's flat vectors and the gradients laid
+    end to end, elementwise as a loop over the arrays would, so with the
+    same bits."""
     g = _flat(grads)
     if not np.isfinite(g).all():
         log.warning("step %d rejected: non-finite gradient", state.step)
         return state
-    arrays = params_to_arrays(state.params)
-    if [a.shape for a in grads] != [a.shape for a in arrays]:
+    if [a.shape for a in grads] != [a.shape for a in
+                                   params_to_arrays(state.params)]:
         raise DimensionError("gradient list does not match parameter layout")
     t = state.step + 1
-    m = ADAM_BETA1 * _flat(state.adam_m) + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * _flat(state.adam_v) + (1.0 - ADAM_BETA2) * g * g
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
     m_hat = m / (1.0 - ADAM_BETA1 ** t)
     v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    new = _flat(arrays) - cfg.learning_rate * m_hat / (np.sqrt(v_hat)
+    theta = state.theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat)
                                                        + ADAM_EPS)
-    return TrainState(params=arrays_to_params(_split(new, arrays),
-                                              state.params),
-                      adam_m=_split(m, arrays), adam_v=_split(v, arrays),
-                      step=t, dual=state.dual, sample_id=state.sample_id)
+    return TrainState(state.layout, theta, m, v, step=t, dual=state.dual,
+                      sample_id=state.sample_id)
 
 
 def clip_gradients(grads: list[np.ndarray], max_norm: float | None
                    ) -> list[np.ndarray]:
     """Scale ``grads`` to a global norm of at most ``max_norm``.  The norm
-    adds up each array's own sum of squares; the scaling is one product
-    over the arrays laid end to end."""
+    adds up each array's own sum of squares, taken over the array's shape:
+    a sum over the squares laid end to end adds in another order.  The
+    squaring and the scaling run once over the arrays laid end to end."""
     if max_norm is None:
         return grads
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    flat = _flat(grads)
+    squares = _split(flat * flat, grads)
+    total = math.sqrt(sum(float(s.sum()) for s in squares))
     if total <= max_norm or total == 0.0:
         return grads
-    return _split(_flat(grads) * (max_norm / total), grads)
+    return _split(flat * (max_norm / total), grads)
 
 
 # --- training loop -------------------------------------------------------------
@@ -338,6 +392,7 @@ def train(records: list[SampleRecord], cfg: TrainConfig,
         formation_root = smooth_signal_root(records[0].W, sigma)
 
     metrics: list[dict] = []
+    target = w_hat = None
     writer = None
     fh = None
     if metrics_path is not None:
@@ -374,7 +429,9 @@ def train(records: list[SampleRecord], cfg: TrainConfig,
                     seed = int(_step_rng(cfg.seed, step, 3).integers(2 ** 62))
                     state.dual = init_dual_state(n, seed)
 
-            w_hat = half_vectorize(record.W)
+            if record is not target:
+                # The target changes only when a window is picked.
+                target, w_hat = record, half_vectorize(record.W)
             rec = record_encoder(X, state.params)
             result = None
             for attempt in range(RETRY_BUDGET + 1):
@@ -450,8 +507,8 @@ def save_train_state(state: TrainState, cfg: TrainConfig, path) -> None:
 def load_train_state(path) -> tuple[TrainState, dict]:
     doc = read_checkpoint(path, _CHECKPOINT_FORMAT, _CHECKPOINT_VERSION)
     params = params_from_doc(doc)
-    state = TrainState(params=params,
-                       adam_m=arrays_from_doc(doc, "adam_m", params),
-                       adam_v=arrays_from_doc(doc, "adam_v", params),
+    state = TrainState(params, _flat(params_to_arrays(params)),
+                       _flat(arrays_from_doc(doc, "adam_m", params)),
+                       _flat(arrays_from_doc(doc, "adam_v", params)),
                        step=int(doc["step"]))
     return state, doc.get("train_config", {})

@@ -167,6 +167,19 @@ class TestTrain:
                     "--out", str(tmp_path / "run")]) == 2
         assert "learning_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_names_field(self, tmp_path, capsys,
+                                                  rate):
+        # JSON's NaN and Infinity reach the dataclass as floats; NaN would
+        # pass a check written as a comparison and fail a step later.
+        dataset = self.make_dataset(tmp_path)
+        cfg = write_config(tmp_path / "t.json",
+                           {"total_steps": 2, "learning_rate": rate})
+        assert run(["train", "--config", cfg, "--dataset", dataset,
+                    "--out", str(tmp_path / "run")]) == 2
+        assert "learning_rate must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("clip", [-1.0, 0])
     def test_grad_clip_not_positive_names_field(self, tmp_path, capsys, clip):
         dataset = self.make_dataset(tmp_path)
@@ -317,6 +330,17 @@ class TestEvalAndBaseline:
         assert run(["baseline", "--config", cfg, "--alpha", "-1",
                     "--beta", "0.001", "--out", str(tmp_path / "bl")]) == 2
         assert "alpha" in capsys.readouterr().err
+        assert not (tmp_path / "bl").exists()
+
+    @pytest.mark.parametrize("name, alpha, beta", [
+        ("alpha", "nan", "1e-4"), ("alpha", "inf", "1e-4"),
+        ("beta", "0.2", "nan")])
+    def test_non_finite_regularizer_names_field(self, tmp_path, capsys, name,
+                                                alpha, beta):
+        cfg = self.eval_config(tmp_path)
+        assert run(["baseline", "--config", cfg, "--alpha", alpha,
+                    "--beta", beta, "--out", str(tmp_path / "bl")]) == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "bl").exists()
 
     def test_flocking_configs_must_be_objects(self, tmp_path):

@@ -90,6 +90,11 @@ class TestFormationSpec:
         with pytest.raises(InvariantError):
             dg.FormationSpec(n=1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_sigma_names_field(self, value):
+        with pytest.raises(InvariantError, match="sigma must be finite"):
+            dg.FormationSpec(sigma=value)
+
     def test_sample_generation(self):
         rec = dg.generate_formation_sample(dg.FormationSpec(n=8, d=40, seed=12))
         assert rec.X.shape == (8, 2, 40)
@@ -141,6 +146,18 @@ class TestFlocking:
         for goal in ([0.0, 1.0, 2.0], [1.0], ["x", 1.0], 3.0):
             with pytest.raises(InvariantError):
                 dg.FlockingSpec(goal=goal)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", [
+        "rho", "r_comm", "duration", "dt", "spawn_side", "eps", "a", "b",
+        "h", "c1", "c2"])
+    def test_non_finite_value_names_field(self, name, value):
+        with pytest.raises(InvariantError, match=f"{name} must be finite"):
+            dg.FlockingSpec(**{name: value})
+
+    def test_non_finite_goal_rejected(self):
+        with pytest.raises(InvariantError, match="goal must be finite"):
+            dg.FlockingSpec(goal=(0.0, float("nan")))
 
     def test_goal_is_a_float_pair(self):
         spec = dg.FlockingSpec(goal=[1, 2])

@@ -93,7 +93,9 @@ class TestFormationSweep:
     @pytest.mark.parametrize("field, value", [
         ("n_values", (1,)), ("n_values", (6.5,)), ("n_values", (True,)),
         ("p_values", (1.0,)), ("p_values", ("a",)), ("repetitions", 0),
-        ("d", 0), ("sigma", 0.0), ("max_iters", 0), ("tol", 0.0)])
+        ("d", 0), ("sigma", 0.0), ("max_iters", 0), ("tol", 0.0),
+        ("sigma", float("nan")), ("sigma", float("inf")),
+        ("tol", float("nan")), ("threshold", float("nan"))])
     def test_grid_validation_names_field(self, field, value):
         with pytest.raises(InvariantError, match=field):
             tiny_grid(**{field: value})

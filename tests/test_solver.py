@@ -291,6 +291,12 @@ class TestSolverConfig:
         with pytest.raises(DimensionError):
             SolverConfig(tol=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "tol"])
+    def test_non_finite_value_names_field(self, name, value):
+        with pytest.raises(DimensionError, match=f"{name} must be finite"):
+            SolverConfig(**{name: value})
+
     def test_seeded_init_reproducible(self):
         a = init_dual_state(6, seed=9)
         b = init_dual_state(6, seed=9)

@@ -1,6 +1,7 @@
 """The measuring scripts in ``tools/`` run and print what they promise."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -48,15 +49,23 @@ def test_step_ab_prints_both_medians_and_the_paired_ratio():
 
 
 def test_train_digest_prints_one_digest_per_part():
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "train_digest.py")],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
+    # The caller's BLAS thread count does not reach the digests: the script
+    # runs BLAS on one thread and says so.
+    outputs = []
+    for threads in ("2", "1"):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "train_digest.py")],
+            cwd=ROOT, capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
     assert re.fullmatch(
+        r"OPENBLAS_NUM_THREADS: 1\n"
         r"encode: [0-9a-f]{64}\nsolve: [0-9a-f]{64}\n"
         r"formation: [0-9a-f]{64}\nflocking: [0-9a-f]{64}\n"
         r"formation-params: [0-9a-f]{64}\nflocking-params: [0-9a-f]{64}\n",
-        done.stdout), done.stdout
+        outputs[0]), outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_bench_pairs_writes_medians_quartiles_and_wins(tmp_path):

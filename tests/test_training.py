@@ -240,6 +240,30 @@ def unroll_recomputing(rec, op, unroll_steps, dual):
     return ad.custom((rec.y, rec.alpha, rec.beta), ws[-1], vjp)
 
 
+def unroll_vjp_chain(y, op, alpha, beta, dual, steps, g):
+    """The unroll's adjoints of ``y``, ``alpha`` and ``beta`` for the
+    adjoint ``g`` of its last iterate, from a plain per-step chain:
+    ``steps`` calls of ``dual_step``, then ``dual_step_vjp`` swept back one
+    step at a time, each step's adjoints added as the sweep goes.  The
+    reference for the unroll node's batched sums."""
+    lipschitz = (op.n - 1) / beta
+    states, ws, saved = [], [], []
+    for _ in range(steps):
+        states.append(dual)
+        w, dual = dual_step(y, op, alpha, beta, lipschitz, dual, saved)
+        ws.append(w)
+    g_w, g_lam, g_omega = g, 0.0, 0.0
+    g_y, g_alpha, g_beta, g_lipschitz = 0.0, 0.0, 0.0, 0.0
+    for k in reversed(range(steps)):
+        gy, ga, gb, gl, g_omega, g_lam = dual_step_vjp(
+            y, op, alpha, beta, lipschitz, states[k], ws[k], g_w, g_lam,
+            g_omega, saved[k])
+        g_w = 0.0
+        g_y, g_alpha = g_y + gy, g_alpha + ga
+        g_beta, g_lipschitz = g_beta + gb, g_lipschitz + gl
+    return g_y, g_alpha, g_beta - g_lipschitz * (op.n - 1) / (beta * beta)
+
+
 def reference_backward(tape, output):
     """The reverse sweep that adds every gradient into a zeroed buffer:
     the reference for ``ad.backward``'s accumulation."""
@@ -383,6 +407,35 @@ class TestUnrollNode:
             assert np.array_equal(
                 g, np.zeros_like(node.value) if ref[i] is None else ref[i])
 
+    @pytest.mark.parametrize("steps", [1, 30])
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    @pytest.mark.parametrize("kind", ["formation", "flocking"])
+    def test_sweep_sums_equal_the_per_step_chain(self, kind, warm, steps):
+        X, W, params = unroll_case(kind)
+        n = X.shape[0]
+        op = DegreeOperator(n)
+        rec = tr.record_encoder(X, params)
+        dual = init_dual_state(n, 7)
+        if warm:
+            dual = tr._presolve(rec, op, dual, tr.TrainConfig())
+        res = tr.unroll(rec, op, steps, dual)
+        loss = tr.loss_on_tape(res.w, half_vectorize(W))
+        g = ad.backward(rec.tape, loss)[res.w]
+        vjp = rec.tape.nodes[res.w.index].vjp
+        got = vjp(g)
+        # One step's iterate does not depend on alpha.
+        assert np.any(got[0] != 0) and got[2] != 0
+        assert (got[1] != 0) == (steps > 1)
+        # A zero adjoint makes every step's adjoints of y and beta -0.0,
+        # which the chain's sums, started from 0.0, turn into 0.0.
+        for g, got in ((g, got), (np.zeros_like(g), vjp(np.zeros_like(g)))):
+            ref = unroll_vjp_chain(rec.y.value, op, float(rec.alpha.value),
+                                   float(rec.beta.value), dual, steps, g)
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b)
+                # Bit for bit, the sign of a zero included.
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
     def test_dual_next_is_k_plain_steps(self):
         X, _, params = unroll_case("formation")
         n = X.shape[0]
@@ -414,7 +467,8 @@ class TestUnrollNode:
             w, dual = dual_step(*args)
             calls.append(1)
             if len(calls) == 3:
-                w = np.full_like(w, np.inf)
+                # In place: the unroll reads the step's output rows.
+                w.fill(np.inf)
             return w, dual
 
         monkeypatch.setattr(tr, "dual_step", failing_third)
@@ -423,6 +477,29 @@ class TestUnrollNode:
         assert info.value.diagnostics == {
             "unroll_step": 2, "alpha": float(rec.alpha.value),
             "beta": float(rec.beta.value)}
+        assert len(rec.tape.nodes) == rec.mark
+
+    @pytest.mark.parametrize("bad_step", [0, 3, 9])
+    def test_nan_multiplier_names_its_first_step(self, monkeypatch,
+                                                 bad_step):
+        X, _, params = unroll_case("formation")
+        n = X.shape[0]
+        rec = tr.record_encoder(X, params)
+        calls = []
+
+        def nan_multiplier_at(*args):
+            w, dual = dual_step(*args)
+            if len(calls) == bad_step:
+                # In place: the unroll reads the step's output rows.  The
+                # NaN spreads to every later step's iterate.
+                dual.lam[2] = np.nan
+            calls.append(1)
+            return w, dual
+
+        monkeypatch.setattr(tr, "dual_step", nan_multiplier_at)
+        with pytest.raises(TrainStepError) as info:
+            tr.unroll(rec, DegreeOperator(n), 10, init_dual_state(n, 0))
+        assert info.value.diagnostics["unroll_step"] == bad_step
         assert len(rec.tape.nodes) == rec.mark
 
     def test_needs_one_step(self):
@@ -537,6 +614,27 @@ class TestAdam:
         total = np.sqrt(sum(np.sum(g * g) for g in clipped))
         assert total == pytest.approx(1.0)
         assert tr.clip_gradients(grads, None) is grads
+
+
+class TestClipNorm:
+    @pytest.mark.parametrize("params", [flocking_params(0),
+                                        formation_params(0)],
+                             ids=["flocking", "formation"])
+    def test_norm_adds_each_arrays_own_sum_of_squares(self, params):
+        # np.sum adds a 2-D array's elements in another order than a sum
+        # over the same squares laid end to end, so a flat reduce would
+        # move the norm's last bit on some draws, and with it every
+        # clipped gradient.
+        rng = np.random.default_rng(5)
+        shapes = [a.shape for a in params_to_arrays(params)]
+        for _ in range(2000):
+            scales = 10.0 ** rng.uniform(-3, 3, size=len(shapes))
+            grads = [rng.normal(size=s) * c for s, c in zip(shapes, scales)]
+            total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+            clipped = tr.clip_gradients(grads, 1e-9)
+            assert [c.shape for c in clipped] == shapes
+            for c, g in zip(clipped, grads):
+                assert np.array_equal(c, g * (1e-9 / total))
 
 
 def reference_adam_step(arrays, m, v, step, grads, cfg):
@@ -697,6 +795,12 @@ class TestTrainLoop:
         with pytest.raises(DimensionError, match="grad_clip"):
             tr.TrainConfig(grad_clip=clip)
         tr.TrainConfig(grad_clip=None)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["learning_rate", "grad_clip"])
+    def test_non_finite_value_names_field(self, name, value):
+        with pytest.raises(DimensionError, match=f"{name} must be finite"):
+            tr.TrainConfig(**{name: value})
         tr.TrainConfig(grad_clip=1e-9)
 
     def test_flocking_sample_refresh(self):

@@ -20,14 +20,18 @@ alike on these inputs:
     python tools/train_digest.py                   # this checkout
     python tools/train_digest.py --src OTHER/src   # another checkout
 
-BLAS thread counts can change the last bits of a matmul; compare digests
-taken under the same ``OPENBLAS_NUM_THREADS``.  It takes about ten seconds.
+BLAS thread counts change the last bits of a matmul, and with them the
+digests (``encode`` at n=200 differs between one thread and two).  So the
+script sets ``OPENBLAS_NUM_THREADS=1`` before numpy is imported, whatever
+the caller's environment holds, as ``bench/run.py`` does for the training
+workloads, and prints that count first.  It takes about ten seconds.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from pathlib import Path
 
@@ -89,6 +93,9 @@ def main(argv=None) -> int:
                                              .parents[1] / "src"),
                         help="the src/ directory to import graphident from")
     args = parser.parse_args(argv)
+    # Read by OpenBLAS when numpy is first imported, in ``digests``.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    print(f"OPENBLAS_NUM_THREADS: {os.environ['OPENBLAS_NUM_THREADS']}")
     sys.path.insert(0, args.src)
     for part, hexdigest in digests().items():
         print(f"{part}: {hexdigest}")
