@@ -238,7 +238,6 @@ def _eval_common(args, fixed: tuple[float, float] | None) -> int:
         summary, detail = evaluate.flocking_sweep(
             specs, params=params, fixed=fixed,
             max_iters=solver_cfg.max_iters, tol=solver_cfg.tol,
-            workers=args.workers,
             records_by_config=stored)
         evaluate.write_csv(summary, out / "report.csv",
                            evaluate.FLOCKING_SUMMARY_COLUMNS)
@@ -254,7 +253,7 @@ def _eval_common(args, fixed: tuple[float, float] | None) -> int:
         grid = _spec(evaluate.FormationGrid, cfg, args.full_scale,
                      seed=args.seed)
         summary, detail, matrices = evaluate.formation_sweep(
-            grid, params=params, fixed=fixed, workers=args.workers)
+            grid, params=params, fixed=fixed)
         evaluate.write_csv(summary, out / "report.csv",
                            evaluate.FORMATION_SUMMARY_COLUMNS)
         evaluate.write_csv(detail, out / "details.csv",
@@ -314,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     def sweep(p):
         scaled(p)
         p.add_argument("--workers", type=int, default=1,
-                       help="worker threads for sweeps")
+                       help="accepted and ignored: sweeps run in one thread")
         p.add_argument("--dataset", default=None,
                        help="evaluate stored windows instead of generating")
         return p

@@ -1,15 +1,14 @@
 """Evaluation sweeps for trained encoders and fixed-parameter identification.
 
-Each sweep is a flat list of independent tasks (one per configuration and
-repetition) fanned out over a thread pool and merged back in task order, so
-reports are deterministic for a given config regardless of worker count.
+Each sweep runs its cases (one per configuration and repetition, or per
+window) one after another in the caller's thread, so its rows come out in
+case order and are deterministic for a given config.
 """
 
 from __future__ import annotations
 
 import csv
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,13 +139,6 @@ def _identifier(params: EncoderParams | None,
     return "baseline", identify
 
 
-def _run_tasks(tasks, workers: int):
-    if workers <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: t(), tasks))
-
-
 def formation_sweep(grid: FormationGrid, params: EncoderParams | None = None,
                     fixed: tuple[float, float] | None = None,
                     workers: int = 1):
@@ -154,42 +146,35 @@ def formation_sweep(grid: FormationGrid, params: EncoderParams | None = None,
 
     Returns (summary_rows, detail_rows, matrices) where ``matrices`` maps
     (n, p) to the first repetition's (ground truth, identified) pair for
-    qualitative dumps.
+    qualitative dumps.  ``workers`` is accepted and ignored: the cases run
+    one after another in the caller's thread.
     """
     method, identify = _identifier(params, fixed, grid.max_iters, grid.tol)
-    cells = [(n, p) for n in grid.n_values for p in grid.p_values]
-
-    def make_task(n, p, rep):
-        def task():
-            W, X = _formation_case(grid, n, p, rep)
-            W_hat, alpha, beta = identify(X, rep)
-            counts = edge_recovery(W_hat, W, grid.threshold)
-            return W, W_hat, mae(W_hat, W), counts, alpha, beta
-        return task
-
-    tasks = [make_task(n, p, rep) for n, p in cells
-             for rep in range(grid.repetitions)]
-    results = _run_tasks(tasks, workers)
-
     summary, detail, matrices = [], [], {}
-    for idx, (n, p) in enumerate(cells):
-        block = results[idx * grid.repetitions:(idx + 1) * grid.repetitions]
-        maes = [b[2] for b in block]
-        rates = [b[3].recovery_rate for b in block]
-        summary.append({
-            "method": method, "n": n, "p": p,
-            "repetitions": grid.repetitions,
-            "mae_mean": float(np.mean(maes)),
-            "mae_std": float(np.std(maes)),
-            "recovery_rate_mean": float(np.mean(rates)),
-        })
-        matrices[(n, p)] = (block[0][0], block[0][1])
-        for rep, (W, W_hat, err, counts, alpha, beta) in enumerate(block):
-            detail.append({
-                "method": method, "n": n, "p": p, "rep": rep, "mae": err,
-                "true_pos": counts.true_pos, "false_pos": counts.false_pos,
-                "false_neg": counts.false_neg, "true_neg": counts.true_neg,
-                "alpha": alpha, "beta": beta,
+    for n in grid.n_values:
+        for p in grid.p_values:
+            maes, rates = [], []
+            for rep in range(grid.repetitions):
+                W, X = _formation_case(grid, n, p, rep)
+                W_hat, alpha, beta = identify(X, rep)
+                if rep == 0:
+                    matrices[(n, p)] = (W, W_hat)
+                err = mae(W_hat, W)
+                counts = edge_recovery(W_hat, W, grid.threshold)
+                maes.append(err)
+                rates.append(counts.recovery_rate)
+                detail.append({
+                    "method": method, "n": n, "p": p, "rep": rep, "mae": err,
+                    "true_pos": counts.true_pos, "false_pos": counts.false_pos,
+                    "false_neg": counts.false_neg, "true_neg": counts.true_neg,
+                    "alpha": alpha, "beta": beta,
+                })
+            summary.append({
+                "method": method, "n": n, "p": p,
+                "repetitions": grid.repetitions,
+                "mae_mean": float(np.mean(maes)),
+                "mae_std": float(np.std(maes)),
+                "recovery_rate_mean": float(np.mean(rates)),
             })
     return summary, detail, matrices
 
@@ -204,7 +189,9 @@ def flocking_sweep(specs: list[FlockingSpec] | None = None,
 
     ``records_by_config`` short-circuits simulation when the windows are
     already available (re-used between trained and baseline runs, or loaded
-    from a stored dataset); otherwise each spec is simulated.
+    from a stored dataset); otherwise each spec is simulated.  ``workers``
+    is accepted and ignored: the windows run one after another in the
+    caller's thread.
     """
     method, identify = _identifier(params, fixed, max_iters, tol)
     if records_by_config is None:
@@ -212,30 +199,21 @@ def flocking_sweep(specs: list[FlockingSpec] | None = None,
             raise DimensionError("pass flocking specs or prebuilt records")
         records_by_config = [generate_flocking_windows(s) for s in specs]
 
-    def make_task(cfg_idx, record, window):
-        def task():
+    summary, detail = [], []
+    for cfg_idx, records in enumerate(records_by_config):
+        maes, densities = [], []
+        for window, record in enumerate(records):
             W_hat, alpha, beta = identify(record.X, window)
-            return (cfg_idx, window, edge_density(record.W),
-                    mae(W_hat, record.W), alpha, beta)
-        return task
-
-    tasks = [make_task(i, rec, k)
-             for i, records in enumerate(records_by_config)
-             for k, rec in enumerate(records)]
-    results = _run_tasks(tasks, workers)
-
-    detail = [{
-        "method": method, "config": cfg_idx, "window": window,
-        "density": density, "mae": err, "alpha": alpha, "beta": beta,
-    } for cfg_idx, window, density, err, alpha, beta in results]
-
-    summary = []
-    for i in range(len(records_by_config)):
-        rows = [r for r in detail if r["config"] == i]
-        maes = [r["mae"] for r in rows]
-        densities = [r["density"] for r in rows]
+            err = mae(W_hat, record.W)
+            density = edge_density(record.W)
+            maes.append(err)
+            densities.append(density)
+            detail.append({
+                "method": method, "config": cfg_idx, "window": window,
+                "density": density, "mae": err, "alpha": alpha, "beta": beta,
+            })
         summary.append({
-            "method": method, "config": i, "windows": len(rows),
+            "method": method, "config": cfg_idx, "windows": len(records),
             "mae_mean": float(np.mean(maes)), "mae_std": float(np.std(maes)),
             "density_min": float(np.min(densities)),
             "density_max": float(np.max(densities)),

@@ -343,6 +343,12 @@ def _step_rng(seed: int, step: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, step, stream])
 
 
+def _fresh_dual(n: int, seed: int, step: int, stream: int) -> DualState:
+    """A dual start re-seeded from one of the step's streams."""
+    return init_dual_state(n, int(_step_rng(seed, step, stream)
+                                  .integers(2 ** 62)))
+
+
 def _presolve(rec: EncoderRecording, op: DegreeOperator, dual: DualState,
               cfg: TrainConfig) -> DualState:
     """Advance the persistent dual state, untaped, with ``solver.advance``
@@ -412,8 +418,7 @@ def train(records: list[SampleRecord], cfg: TrainConfig,
                 if state.dual is None or step % cfg.sample_refresh_period == 0:
                     pick = _step_rng(cfg.seed, step, 1)
                     state.sample_id = int(pick.integers(len(records)))
-                    seed = int(_step_rng(cfg.seed, step, 3).integers(2 ** 62))
-                    state.dual = init_dual_state(n, seed)
+                    state.dual = _fresh_dual(n, cfg.seed, step, 3)
                 record = records[state.sample_id]
                 X = record.X
             else:
@@ -426,8 +431,7 @@ def train(records: list[SampleRecord], cfg: TrainConfig,
                 else:
                     X = record.X
                 if state.dual is None:
-                    seed = int(_step_rng(cfg.seed, step, 3).integers(2 ** 62))
-                    state.dual = init_dual_state(n, seed)
+                    state.dual = _fresh_dual(n, cfg.seed, step, 3)
 
             if record is not target:
                 # The target changes only when a window is picked.
@@ -445,9 +449,7 @@ def train(records: list[SampleRecord], cfg: TrainConfig,
                     # The retry reuses the encoder recording; drop the
                     # failed attempt's nodes after it.
                     rec.tape.truncate(rec.mark)
-                    seed = int(_step_rng(cfg.seed, step, 4 + attempt)
-                               .integers(2 ** 62))
-                    state.dual = init_dual_state(n, seed)
+                    state.dual = _fresh_dual(n, cfg.seed, step, 4 + attempt)
             if result is None:
                 raise TrainStepError(
                     f"step {step} failed after {RETRY_BUDGET} retries",
@@ -463,9 +465,8 @@ def train(records: list[SampleRecord], cfg: TrainConfig,
             if new_state.step == state.step:
                 # Rejected step: skip the dual-state advance too, but do not
                 # spin forever on one step.
-                seed = int(_step_rng(cfg.seed, step, 9).integers(2 ** 62))
                 new_state = dataclasses.replace(state, step=step + 1)
-                new_state.dual = init_dual_state(n, seed)
+                new_state.dual = _fresh_dual(n, cfg.seed, step, 9)
             else:
                 new_state.dual = result.dual_next
             state = new_state

@@ -1,11 +1,13 @@
 """Evaluation harness tests on desk-size instances."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from graphident import evaluate as ev
 from graphident.datagen import FlockingSpec
-from graphident.encoder import formation_params
+from graphident.encoder import flocking_params, formation_params
 from graphident.errors import DimensionError, InvariantError
 from graphident.graphcore import distance_matrix, half_vectorize, devectorize, mae
 from graphident.solver import SolverConfig, identify_graph
@@ -118,6 +120,23 @@ class TestFlockingSweep:
                                    records_by_config=records)
         s2, d2 = ev.flocking_sweep(specs, fixed=(0.1, 1e-4), max_iters=200)
         assert s1 == s2 and d1 == d2
+
+
+def test_sweeps_start_no_thread(monkeypatch):
+    # ``workers`` is accepted and ignored: every case runs in the caller's
+    # thread.
+    def refuse(thread):
+        raise AssertionError(f"a sweep started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    grid = tiny_grid()
+    _, detail, _ = ev.formation_sweep(grid, fixed=(0.2, 1e-3), workers=4)
+    assert len(detail) == 2
+    ev.formation_sweep(grid, params=formation_params(2), workers=4)
+    specs = [FlockingSpec(n=6, duration=1.2, d=10, seed=8)]
+    for mode in ({"fixed": (0.1, 1e-5)}, {"params": flocking_params(0)}):
+        _, detail = ev.flocking_sweep(specs, max_iters=200, workers=4, **mode)
+        assert len(detail) == 3
 
 
 class TestCsv:

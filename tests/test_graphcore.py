@@ -6,7 +6,7 @@ import pytest
 
 from graphident import autodiff as ad
 from graphident.errors import DimensionError, InvariantError
-from graphident.graphcore import (DegreeOperator, EdgeRecovery,
+from graphident.graphcore import (SYM_ATOL, DegreeOperator, EdgeRecovery,
                                   build_sum_operator, devectorize,
                                   distance_matrix, edge_density,
                                   edge_recovery, half_vectorize, laplacian,
@@ -47,6 +47,28 @@ class TestHalfVectorize:
         W = np.array([[1.0, 2.0], [2.0, 0.0]])
         with pytest.raises(InvariantError):
             half_vectorize(W)
+
+    @pytest.mark.parametrize("upper, lower, symmetric", [
+        (np.nan, np.nan, False),
+        (1.0, np.nan, False),
+        (np.inf, np.inf, True),
+        (-np.inf, -np.inf, True),
+        (np.inf, 1.0, False),
+        (np.inf, -np.inf, False),
+        (0.0, SYM_ATOL, True),
+        (0.0, np.nextafter(SYM_ATOL, 1.0), False),
+        (1.0, 1.0 + SYM_ATOL / 2, True),
+        (1.0, 1.0 + 2 * SYM_ATOL, False)])
+    def test_symmetry_verdict_is_allclose_with_zero_rtol(self, upper, lower,
+                                                         symmetric):
+        W = np.zeros((3, 3))
+        W[0, 2], W[2, 0] = upper, lower
+        assert np.allclose(W, W.T, atol=SYM_ATOL, rtol=0.0) == symmetric
+        if symmetric:
+            assert half_vectorize(W)[1] == upper
+        else:
+            with pytest.raises(InvariantError, match="non-symmetric"):
+                half_vectorize(W)
 
     def test_devectorize_length_check(self):
         with pytest.raises(DimensionError):

@@ -63,7 +63,8 @@ def test_train_digest_prints_one_digest_per_part():
         r"OPENBLAS_NUM_THREADS: 1\n"
         r"encode: [0-9a-f]{64}\nsolve: [0-9a-f]{64}\n"
         r"formation: [0-9a-f]{64}\nflocking: [0-9a-f]{64}\n"
-        r"formation-params: [0-9a-f]{64}\nflocking-params: [0-9a-f]{64}\n",
+        r"formation-params: [0-9a-f]{64}\nflocking-params: [0-9a-f]{64}\n"
+        r"sweep: [0-9a-f]{64}\n",
         outputs[0]), outputs[0]
     assert outputs[0] == outputs[1]
 

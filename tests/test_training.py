@@ -991,6 +991,19 @@ class TestOneEncoderPassPerStep:
                         params_to_arrays(clean.params)):
             assert np.array_equal(a, b)
 
+    def test_rejected_step_restarts_the_dual_from_stream_nine(
+            self, monkeypatch):
+        record = small_record(n=6, d=12, seed=4)
+        cfg = tr.TrainConfig(total_steps=2, unroll_steps=3, seed=6)
+        monkeypatch.setattr(tr, "adam_update", lambda state, grads, cfg: state)
+        state, _ = tr.train([record], cfg, params=formation_params(seed=2))
+        assert state.step == 2
+        restart = init_dual_state(
+            6, int(tr._step_rng(cfg.seed, 1, 9).integers(2 ** 62)))
+        for field in ("lam", "lam_prev", "omega", "tau", "iteration"):
+            assert np.array_equal(getattr(state.dual, field),
+                                  getattr(restart, field))
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):

@@ -16,6 +16,11 @@ alike on these inputs:
 - ``formation-params`` and ``flocking-params``: the parameters alone, so
   a change that moves only the last bits of the losses can show that
   training itself is unchanged.
+- ``sweep``: the summary and detail rows and the kept matrices of a small
+  ``formation_sweep`` (n = 10, 20, 30, two repetitions, d=2000), once with
+  formation params and once with the fixed (0.2, 1e-4) baseline, and the
+  rows of a small ``flocking_sweep`` (n=6, 1.2 s), once with flocking params
+  and once with the baseline.
 
     python tools/train_digest.py                   # this checkout
     python tools/train_digest.py --src OTHER/src   # another checkout
@@ -36,14 +41,14 @@ import sys
 from pathlib import Path
 
 PARTS = ("encode", "solve", "formation", "flocking", "formation-params",
-         "flocking-params")
+         "flocking-params", "sweep")
 
 
 def digests() -> dict:
     # Imported here, once ``main`` has put ``--src`` first on the path.
     import numpy as np
 
-    from graphident import training
+    from graphident import evaluate, training
     from graphident.datagen import (FlockingSpec, SampleRecord,
                                     generate_flocking_windows,
                                     sample_er_graph, sample_smooth_signals)
@@ -58,6 +63,11 @@ def digests() -> dict:
         for a in arrays:
             hashers[part].update(
                 np.ascontiguousarray(a, dtype=np.float64).tobytes())
+
+    def add_rows(part, rows):
+        # Every cell is a str, an int or a float, whose repr round-trips.
+        for row in rows:
+            hashers[part].update(repr(list(row.items())).encode())
 
     params = formation_params(0)
     for n in (20, 50, 100, 200):
@@ -84,6 +94,17 @@ def digests() -> dict:
         arrays = params_to_arrays(state.params)
         add(part, [row["loss"] for row in metrics], *arrays)
         add(f"{part}-params", *arrays)
+
+    grid = evaluate.FormationGrid(n_values=(10, 20, 30), repetitions=2)
+    specs = [FlockingSpec(n=6, duration=1.2)]
+    for fit in ({"params": formation_params(0)}, {"fixed": (0.2, 1e-4)}):
+        summary, detail, matrices = evaluate.formation_sweep(grid, **fit)
+        add_rows("sweep", summary + detail)
+        for key, pair in matrices.items():
+            add("sweep", key, *pair)
+    for fit in ({"params": flocking_params(0)}, {"fixed": (0.2, 1e-4)}):
+        summary, detail = evaluate.flocking_sweep(specs, **fit)
+        add_rows("sweep", summary + detail)
     return {part: h.hexdigest() for part, h in hashers.items()}
 
 
