@@ -16,14 +16,29 @@ with the same bits (see its docstring).  There is no checkpointing and
 no GPU path.  Everything is float64: downstream thresholds at 1e-5 make
 single precision risky.
 
-A recorded ``mlp`` takes its layer outputs and its input's adjoint from a
-small pool keyed by shape, so a training step reuses the previous step's
-pages instead of faulting fresh ones in; its per-layer adjoints are
-block-sized scratch.  A pooled array goes out again only when nothing
-refers to it: a numpy view refers to the array that owns its memory, so
-every value, view, gradient and node built on it counts.  Unrecorded tapes
-do not pool: plain encoding shows no fault churn, and a pool would keep
-identification's largest arrays resident.
+A recorded ``mlp`` takes its layer outputs, its input's adjoint and its
+reverse sweep's block-sized scratch from a small pool keyed by shape, so a
+training step reuses the previous step's pages instead of faulting fresh
+ones in.  A pooled array goes out again only when nothing refers to it: a
+numpy view refers to the array that owns its memory, so every value, view,
+gradient and node built on it counts.  Unrecorded tapes do not pool: plain
+encoding shows no fault churn, and a pool would keep identification's
+largest arrays resident.
+
+A recorded ``mlp`` of two or more row blocks runs them on two threads,
+forward and back: the caller, and one worker thread that the first such
+call starts and that lives as long as the process (``_in_two``).  numpy
+releases the GIL inside BLAS products and inside ufunc loops over blocks
+this large, so the two share the cores.  Each block writes only its own
+rows and its own gradient shares, and the shares are summed in block
+order once both threads are done, so the bits do not depend on the
+schedule.  The caller takes the worker's scratch from the pool too:
+scratch that the worker allocated itself came from another malloc arena,
+whose pages were faulted in afresh at every step.  Unrecorded tapes
+(plain encoding, identification, the sweeps) and stacks of one block stay
+in the caller's thread.  Identification runs BLAS on two threads, and
+after each product OpenBLAS's own worker spins on the second core for
+about 130 ms, so a second thread of ours would only contend with it.
 """
 
 from __future__ import annotations
@@ -110,9 +125,10 @@ class Var:
 
 def _pooled(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialised float64 array of ``shape``: a pooled one that nothing
-    else refers to, if any.  ``mlp`` takes its recorded layer outputs and
-    its input's adjoint from here.  Arrays shorter than a block come from
-    malloc's heap without page faults and are not pooled."""
+    else refers to, if any.  ``mlp`` takes its recorded layer outputs,
+    its input's adjoint and its VJP's scratch from here.  Arrays shorter
+    than a block come from malloc's heap without page faults and are not
+    pooled."""
     if shape[0] < _BLOCK_ROWS:
         return np.empty(shape)
     with _pool_lock:
@@ -128,6 +144,83 @@ def _pooled(shape: tuple[int, ...]) -> np.ndarray:
         if len(free) < _POOL_PER_SHAPE:
             free.append(a)
         return a
+
+
+def _row_blocks(begin: int, end: int, size: int) -> list[tuple[int, int]]:
+    """(start, stop) of the row blocks of ``begin:end``, at most ``size``
+    rows each.  No block has one row unless ``end - begin`` is 1: numpy
+    multiplies a single row through another BLAS routine, whose sums may
+    round differently."""
+    starts = list(range(begin, end, size))
+    if end - begin > 1 and (end - begin) % size == 1:
+        starts[-1] -= 1
+    return list(zip(starts, starts[1:] + [end]))
+
+
+class _Worker:
+    """A daemon thread that runs one task at a time for the caller that
+    holds ``busy``."""
+
+    def __init__(self):
+        self.busy = threading.Lock()
+        # Two locks used as signals: released by one thread, acquired by
+        # the other.
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._task: Callable[[], None] | None = None
+        self._error: BaseException | None = None
+        threading.Thread(target=self._serve, name="graphident-mlp",
+                         daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            try:
+                self._task()
+            except BaseException as exc:
+                self._error = exc
+            # The task's arrays must be free again once the caller goes
+            # on: ``_pooled`` counts their references.
+            self._task = None
+            self._done.release()
+
+    def run(self, mine: Callable[[], None],
+            theirs: Callable[[], None]) -> None:
+        """``mine()`` here while ``theirs()`` runs on the worker; raises
+        the first error only after both have stopped."""
+        self._task = theirs
+        self._go.release()
+        try:
+            mine()
+        finally:
+            self._done.acquire()
+            error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+
+_worker: _Worker | None = None
+_worker_lock = threading.Lock()
+
+
+def _in_two(mine: Callable[[], None], theirs: Callable[[], None]) -> None:
+    """Run ``mine()`` in this thread and ``theirs()`` on the worker at
+    once, starting the worker on first use.  While another thread has
+    the worker, both run here, one after the other."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = _Worker()
+        worker = _worker
+    if not worker.busy.acquire(blocking=False):
+        mine()
+        theirs()
+        return
+    try:
+        worker.run(mine, theirs)
+    finally:
+        worker.busy.release()
 
 
 def _wrap(tape: Tape, x) -> Var:
@@ -250,10 +343,26 @@ def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
 
     On a recorded tape, each layer's output and the input's adjoint come
     from ``_pooled``: the next recording of the same shapes reuses them
-    once this one's values and gradients are gone.  The per-layer adjoints
-    are block-sized scratch.  An unrecorded tape keeps ``np.empty``: plain
-    encoding makes only its output full size and shows no fault churn, and
-    pooling would keep its largest arrays resident between calls."""
+    once this one's values and gradients are gone.  So does the VJP's
+    scratch, two block-sized buffers per thread: one holds each layer's
+    ``G``, its activation factor formed in place, and the other the copy
+    of ``G.T`` and then the layer below's adjoint.  An unrecorded tape
+    keeps ``np.empty``: plain encoding makes only its output full size and
+    shows no fault churn, and pooling would keep its largest arrays
+    resident between calls.
+
+    A recorded stack of two or more blocks shares them between the caller
+    and the worker thread (``_in_two``).  Forward, each takes half of the
+    rows, blocked by the same rule, since a row's values do not depend on
+    its block.  Back, the caller takes the first half of the blocks,
+    rounded up, and the worker the rest; the blocks stay those of one
+    thread, since each block's gradient shares depend on its rows.  Every
+    block writes only its rows of the outputs and of the input's adjoint
+    and its own slot of the shares, which are summed in block order after
+    both halves are done: the bits are those of one thread.  The caller
+    allocates both threads' scratch, and an error in either half is raised
+    once both have stopped.  A stack of one block, or on an unrecorded
+    tape, runs in the caller alone."""
     hv = h.value
     Ws, bs = [W.value for W, _ in layers], [b.value for _, b in layers]
     width = hv.shape[1] if hv.ndim == 2 else -1
@@ -268,12 +377,7 @@ def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
         raise ValueError(f"unknown activation {last!r}")
     acts, rows = ["tanh"] * (len(Ws) - 1) + [last], hv.shape[0]
     block = max(1, min(rows, _BLOCK_ROWS))
-    # No block has one row unless ``rows`` is 1: numpy multiplies a single
-    # row through another BLAS routine, whose sums may round differently.
-    starts = list(range(0, rows, block))
-    if rows > 1 and rows % block == 1:
-        starts[-1] -= 1
-    blocks = list(zip(starts, starts[1:] + [rows]))
+    blocks = _row_blocks(0, rows, block)
     tiles = [np.full((block, b.size), b) for b in bs]
     # Below the top layer, a recorded tape keeps a full array per layer, an
     # unrecorded one a block buffer.  Outputs go as the ufuncs' positional
@@ -282,27 +386,29 @@ def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
     new = _pooled if record else np.empty
     outs = [new((rows if record else block, W.shape[1]))
             for W in Ws[:-1]] + [new((rows, width))]
-    for start, stop in blocks:
-        x = hv[start:stop]
-        for i, (W, act, buf) in enumerate(zip(Ws, acts, outs)):
-            lo = start if len(buf) == rows else 0
-            z = buf[lo:lo + stop - start]
-            _product(x, W, z)
-            z += tiles[i][:stop - start]
-            if act == "tanh":
-                np.tanh(z, z)
-            elif act == "sigmoid":
-                z[...] = _sigmoid(z)
-            x = z
+    split = record and len(blocks) > 1
+
+    def forward(begin, end):
+        for start, stop in _row_blocks(begin, end, block):
+            x = hv[start:stop]
+            for i, (W, act, buf) in enumerate(zip(Ws, acts, outs)):
+                at = start if len(buf) == rows else 0
+                z = buf[at:at + stop - start]
+                _product(x, W, z)
+                z += tiles[i][:stop - start]
+                if act == "tanh":
+                    np.tanh(z, z)
+                elif act == "sigmoid":
+                    z[...] = _sigmoid(z)
+                x = z
+
+    if split:
+        _in_two(lambda: forward(0, rows // 2),
+                lambda: forward(rows // 2, rows))
+    else:
+        forward(0, rows)
 
     def vjp(g):
-        # Block-sized scratch: each layer's adjoint and activation factor,
-        # and room for a contiguous copy of a block's ``G.T``, whose rows
-        # numpy sums pairwise.  Summed over axis 0 in place, ``G`` is added
-        # row by row: slower, and less accurate.
-        adj = [np.empty((block, W.shape[1])) for W in Ws]
-        factor = [np.empty((block, W.shape[1])) for W in Ws]
-        cols = np.empty(block * max(W.shape[1] for W in Ws))
         # Contiguous copies of each ``W.T``, for blocks of 2 or more rows.
         WTs = [np.ascontiguousarray(W.T) for W in Ws]
         # Each block's share of every weight and bias gradient.  With one
@@ -310,27 +416,50 @@ def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
         part_Ws = [np.empty((len(blocks),) + W.shape) for W in Ws]
         part_bs = [np.empty((len(blocks),) + b.shape) for b in bs]
         g_h = _pooled(hv.shape)
-        for k, (start, stop) in enumerate(blocks):
-            m = stop - start
-            src = g[start:stop]   # the gradient of the top layer's output
-            for i in range(len(Ws) - 1, -1, -1):
-                o, t = outs[i][start:stop], factor[i][:m]
-                G = src if acts[i] == "linear" else adj[i][:m]
-                if acts[i] == "tanh":
-                    np.multiply(o, o, t)
-                    np.subtract(1.0, t, t)
-                    np.multiply(src, t, G)
-                elif acts[i] == "sigmoid":
-                    np.multiply(src, o, G)
-                    np.subtract(1.0, o, t)
-                    G *= t
-                x = (outs[i - 1] if i else hv)[start:stop]
-                np.matmul(x.T, G, part_Ws[i][k])
-                cT = cols[:G.size].reshape(G.shape[1], m)
-                np.copyto(cT, G.T)
-                np.add.reduce(cT, axis=1, out=part_bs[i][k])
-                src = adj[i - 1][:m] if i else g_h[start:stop]
-                _product(G, WTs[i] if m > 1 else Ws[i].T, src)
+
+        def sweep(ks, a, b):
+            # Two flat block-sized buffers: ``a`` holds each layer's ``G``,
+            # its activation factor formed in place; ``b`` holds a
+            # contiguous copy of ``G.T``, whose rows numpy sums pairwise
+            # (summed over axis 0 in place, ``G`` is added row by row:
+            # slower, and less accurate), then the layer below's adjoint.
+            for k in ks:
+                start, stop = blocks[k]
+                m = stop - start
+                src = g[start:stop]   # the gradient of the top layer's output
+                for i in range(len(Ws) - 1, -1, -1):
+                    o, (fan_in, fan_out) = outs[i][start:stop], Ws[i].shape
+                    G = (src if acts[i] == "linear"
+                         else a[:m * fan_out].reshape(m, fan_out))
+                    if acts[i] == "tanh":
+                        np.multiply(o, o, G)
+                        np.subtract(1.0, G, G)
+                        np.multiply(src, G, G)
+                    elif acts[i] == "sigmoid":
+                        # Only the top layer, so ``src`` is ``g`` and ``b``
+                        # is free for the factor.
+                        t = b[:m * fan_out].reshape(m, fan_out)
+                        np.multiply(src, o, G)
+                        np.subtract(1.0, o, t)
+                        G *= t
+                    x = (outs[i - 1] if i else hv)[start:stop]
+                    np.matmul(x.T, G, part_Ws[i][k])
+                    cT = b[:G.size].reshape(fan_out, m)
+                    np.copyto(cT, G.T)
+                    np.add.reduce(cT, axis=1, out=part_bs[i][k])
+                    src = (b[:m * fan_in].reshape(m, fan_in) if i
+                           else g_h[start:stop])
+                    _product(G, WTs[i] if m > 1 else Ws[i].T, src)
+
+        # The caller takes every thread's scratch from the pool.
+        shape = (block, max(W.shape[1] for W in Ws))
+        bufs = [_pooled(shape).reshape(-1) for _ in range(4 if split else 2)]
+        if split:
+            half = (len(blocks) + 1) // 2
+            _in_two(lambda: sweep(range(half), *bufs[:2]),
+                    lambda: sweep(range(half, len(blocks)), *bufs[2:]))
+        else:
+            sweep(range(len(blocks)), *bufs)
         one = len(blocks) == 1
         return (g_h, *(p[0] if one else p.sum(axis=0)
                        for pair in zip(part_Ws, part_bs) for p in pair))

@@ -1,6 +1,8 @@
 """Autodiff engine tests: every primitive against central finite differences,
 plus the backward-pass contracts."""
 
+import os
+import subprocess
 import sys
 import threading
 import weakref
@@ -444,6 +446,123 @@ class TestArrayPool:
         X = sample_smooth_signals(sample_er_graph(20, 0.2, 12), 0.1, 2000, 13)
         encode(X, formation_params(0))
         assert len(ad._pool) == 0
+
+
+class TestWorker:
+    """A recorded ``mlp`` of two or more blocks shares them between the
+    caller and one worker thread; everything else runs in the caller."""
+
+    ROWS = 2 * ad._BLOCK_ROWS + 777
+    WIDTHS = (2, 5, 10, 5, 1)
+
+    def arrays(self, seed):
+        rng = np.random.default_rng(seed)
+        return (stack_arrays(self.ROWS, self.WIDTHS, rng),
+                rng.normal(size=(self.ROWS, self.WIDTHS[-1])))
+
+    def test_recordings_start_one_thread(self, monkeypatch):
+        # The worker of an earlier test, if any, stays idle.
+        monkeypatch.setattr(ad, "_worker", None)
+        before = threading.active_count()
+        arrays, r = self.arrays(1)
+        tape = ad.Tape()
+        leaves = [tape.leaf(a) for a in arrays]
+        ad.mlp(leaves[0], list(zip(leaves[1::2], leaves[2::2])))
+        assert threading.active_count() == before + 1
+        for _ in range(5):
+            value_and_grads(ad.mlp, arrays, "tanh", r)
+        assert threading.active_count() == before + 1
+
+    @pytest.mark.parametrize("last", ["tanh", "linear", "sigmoid"])
+    def test_threads_keep_every_bit(self, monkeypatch, last):
+        # Against the same blocks run one after another in the caller,
+        # the weight and bias gradients included.
+        arrays, r = self.arrays(2)
+        shared = value_and_grads(ad.mlp, arrays, last, r)
+        monkeypatch.setattr(ad, "_in_two",
+                            lambda mine, theirs: (mine(), theirs()))
+        serial = value_and_grads(ad.mlp, arrays, last, r)
+        for a, b in zip(shared, serial):
+            assert a.tobytes() == b.tobytes()
+
+    def test_the_worker_keeps_no_array(self, monkeypatch):
+        # Once a recording and its gradients are dropped, the next one
+        # takes the same pooled arrays, the worker's scratch included.
+        monkeypatch.setattr(ad, "_pool", OrderedDict())
+        arrays, r = self.arrays(5)
+
+        def pooled():
+            value_and_grads(ad.mlp, arrays, "tanh", r)
+            return [id(a) for free in ad._pool.values() for a in free]
+
+        first = pooled()
+        assert len(first) >= 4 + len(self.WIDTHS)
+        assert pooled() == first
+
+    def test_import_starts_no_thread(self):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, threading, graphident, graphident.training; "
+             "print(threading.active_count(), "
+             "'concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ,
+                 "PYTHONPATH": os.path.dirname(os.path.dirname(ad.__file__))})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "1 False\n"
+
+    def test_plain_encoding_and_identification_start_no_thread(
+            self, monkeypatch):
+        from graphident.datagen import sample_er_graph, sample_smooth_signals
+        from graphident.encoder import encode, formation_params
+        from graphident.evaluate import identify_with_encoder
+
+        def refuse(thread):
+            raise AssertionError(f"started thread {thread.name}")
+
+        monkeypatch.setattr(ad, "_worker", None)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        # n=5 and d=2000: 10,000 rows, two blocks through fc1 and fc2.
+        X = sample_smooth_signals(sample_er_graph(5, 0.5, 3), 0.1, 2000, 4)
+        encode(X, formation_params(0))
+        identify_with_encoder(X, formation_params(0), max_iters=50)
+        # A recording of two blocks would start the worker.
+        arrays, r = self.arrays(3)
+        with pytest.raises(AssertionError, match="graphident-mlp"):
+            value_and_grads(ad.mlp, arrays, "tanh", r)
+
+    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
+        arrays, r = self.arrays(4)
+        product, caller, failed = ad._product, threading.current_thread(), []
+
+        def fail_on_the_worker(x, W, out):
+            if threading.current_thread() is not caller and not failed:
+                failed.append(threading.current_thread().name)
+                raise RuntimeError("the worker's block")
+            product(x, W, out)
+
+        tape = ad.Tape()
+        leaves = [tape.leaf(a) for a in arrays]
+        layers = list(zip(leaves[1::2], leaves[2::2]))
+        monkeypatch.setattr(ad, "_product", fail_on_the_worker)
+        with pytest.raises(RuntimeError, match="the worker's block"):
+            ad.mlp(leaves[0], layers)
+        assert failed == ["graphident-mlp"]
+
+        monkeypatch.setattr(ad, "_product", product)
+        loss = ad.asum(ad.mul(ad.mlp(leaves[0], layers), r))
+        failed.clear()
+        monkeypatch.setattr(ad, "_product", fail_on_the_worker)
+        with pytest.raises(RuntimeError, match="the worker's block"):
+            ad.backward(tape, loss)
+        assert failed == ["graphident-mlp"]
+
+        monkeypatch.setattr(ad, "_product", product)
+        fused = value_and_grads(ad.mlp, arrays, "tanh", r)
+        chain = value_and_grads(chain_mlp, arrays, "tanh", r)
+        for a, c in zip(fused[:2], chain[:2]):
+            assert np.array_equal(a, c)
+        assert_gradients_near(fused[2:], chain[2:])
 
 
 class TestSubgradientConventions:

@@ -17,7 +17,8 @@ def test_step_faults_prints_time_and_faults_per_step():
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert re.fullmatch(
-        r"formation steps: 3, median \d+\.\d\d ms, "
+        r"formation steps: 3, median \d+\.\d\d ms wall, "
+        r"median \d+\.\d\d ms CPU, "
         r"median \d+ minor faults per step\n", done.stdout), done.stdout
 
 
@@ -28,7 +29,8 @@ def test_step_faults_runs_the_flocking_workload():
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert re.fullmatch(
-        r"flocking steps: 3, median \d+\.\d\d ms, "
+        r"flocking steps: 3, median \d+\.\d\d ms wall, "
+        r"median \d+\.\d\d ms CPU, "
         r"median \d+ minor faults per step\n", done.stdout), done.stdout
 
 

@@ -19,9 +19,11 @@ change / parent.  Two copies of one tree read about 1.00.  A second line
 gives each side's mean presolve iterations per timed step, counted by
 wrapping that side's ``training._presolve``, and a third each side's
 median minor page faults per timed step, from the ``ru_minflt`` deltas
-around that side's steps.  Both sides share one process and its heap, so
-pages one side frees may serve the other; ``tools/step_faults.py`` counts
-one checkout's faults alone.
+around that side's steps.  Both sides share one process, its heap and
+its worker threads: pages one side frees may serve the other, both call
+the one OpenBLAS and its threads, and each side's ``ad.mlp`` worker
+thread, where it has one, lives on while the other side steps.
+``tools/step_faults.py`` counts one checkout's faults and CPU time alone.
 """
 
 from __future__ import annotations

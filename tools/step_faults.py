@@ -8,16 +8,19 @@ inputs of ``tools/step_ab.py``:
   formation params, windows not resampled;
 - ``flocking``: criterion 8's simulation (n=20, seed 0), flocking params.
 
-Prints the median wall time and the median number of minor page faults
-(``ru_minflt``) per step:
+Prints the median wall time, the median CPU time and the median number of
+minor page faults (``ru_minflt``) per step:
 
     python tools/step_faults.py                   # this checkout
     python tools/step_faults.py --src OTHER/src   # another checkout
     python tools/step_faults.py --workload flocking --steps 40
 
-A fault is a freshly mapped page, so the count shows how much memory a
-step takes from the kernel anew instead of reusing.  BLAS threads fault
-their own buffers; ``OPENBLAS_NUM_THREADS=1`` gives the steadier count.
+The CPU time is the step's ``ru_utime + ru_stime`` of ``RUSAGE_SELF``,
+which sums every thread of the process, so a step that keeps a second
+core busy reads more CPU time than wall time.  A fault is a freshly
+mapped page, so the count shows how much memory a step takes from the
+kernel anew instead of reusing.  BLAS threads fault their own buffers;
+``OPENBLAS_NUM_THREADS=1`` gives the steadier count.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ from pathlib import Path
 WARM_UP = 2
 
 
-def measure(workload: str, steps: int) -> tuple[list[float], list[int]]:
-    """Wall milliseconds and minor faults of each of ``steps`` steps."""
+def measure(workload: str,
+            steps: int) -> tuple[list[float], list[float], list[int]]:
+    """Wall milliseconds, CPU milliseconds and minor faults of each of
+    ``steps`` steps."""
     # Imported here, once ``main`` has put ``--src`` first on the path.
     from graphident import training
     from graphident.datagen import (FlockingSpec, SampleRecord,
@@ -53,18 +58,20 @@ def measure(workload: str, steps: int) -> tuple[list[float], list[int]]:
         cfg = training.TrainConfig()
         params = flocking_params(0)
     state = training.init_train_state(params)
-    ms, faults = [], []
+    ms, cpu_ms, faults = [], [], []
     for k in range(WARM_UP + steps):
         step_cfg = dataclasses.replace(cfg, total_steps=k + 1)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        before = resource.getrusage(resource.RUSAGE_SELF)
         started = time.perf_counter()
         state, _ = training.train(records, step_cfg, state=state)
         elapsed = (time.perf_counter() - started) * 1e3
-        after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        after = resource.getrusage(resource.RUSAGE_SELF)
         if k >= WARM_UP:
             ms.append(elapsed)
-            faults.append(after - before)
-    return ms, faults
+            cpu_ms.append((after.ru_utime + after.ru_stime - before.ru_utime
+                           - before.ru_stime) * 1e3)
+            faults.append(after.ru_minflt - before.ru_minflt)
+    return ms, cpu_ms, faults
 
 
 def main(argv=None) -> int:
@@ -80,9 +87,10 @@ def main(argv=None) -> int:
     if args.steps < 1:
         parser.error("--steps must be at least 1")
     sys.path.insert(0, args.src)
-    ms, faults = measure(args.workload, args.steps)
+    ms, cpu_ms, faults = measure(args.workload, args.steps)
     print(f"{args.workload} steps: {args.steps}, "
-          f"median {statistics.median(ms):.2f} ms, "
+          f"median {statistics.median(ms):.2f} ms wall, "
+          f"median {statistics.median(cpu_ms):.2f} ms CPU, "
           f"median {statistics.median(faults):.0f} minor faults per step")
     return 0
 
