@@ -25,28 +25,33 @@ gradient and node built on it counts.  Unrecorded tapes do not pool: plain
 encoding shows no fault churn, and a pool would keep identification's
 largest arrays resident.
 
-A recorded ``mlp`` of two or more row blocks runs them on two threads,
-forward and back: the caller, and one worker thread that the first such
-call starts and that lives as long as the process (``_in_two``).  numpy
-releases the GIL inside BLAS products and inside ufunc loops over blocks
-this large, so the two share the cores.  Each block writes only its own
-rows and its own gradient shares, and the shares are summed in block
-order once both threads are done, so the bits do not depend on the
-schedule.  The caller takes the worker's scratch from the pool too:
-scratch that the worker allocated itself came from another malloc arena,
-whose pages were faulted in afresh at every step.  Unrecorded tapes
-(plain encoding, identification, the sweeps) and stacks of one block stay
-in the caller's thread.  Identification runs BLAS on two threads, and
-after each product OpenBLAS's own worker spins on the second core for
-about 130 ms, so a second thread of ours would only contend with it.
+A recorded ``mlp`` of two or more row blocks, with BLAS on one thread,
+runs them on two threads, forward and back: the caller, and one worker
+thread that the first such call starts and that lives as long as the
+process (``_in_two``).  numpy releases the GIL inside BLAS products and
+inside ufunc loops over blocks this large, so the two share the cores.
+Each block writes only its own rows and its own gradient shares, and the
+shares are summed in block order once both threads are done, so the bits
+do not depend on the schedule.  The caller takes the worker's scratch from
+the pool too: scratch that the worker allocated itself came from another
+malloc arena, whose pages were faulted in afresh at every step.  Where
+BLAS runs on more threads (``_blas_threads``), as it does by default,
+every stack stays in the caller's thread: after each product on two BLAS
+threads, OpenBLAS's own worker spins on the second core for about 130 ms,
+so a second thread of ours only contends with it, and desk formation
+training measured no faster with one.  Unrecorded tapes (plain encoding,
+identification, the sweeps) and stacks of one block stay in the caller's
+thread too.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -158,46 +163,45 @@ def _row_blocks(begin: int, end: int, size: int) -> list[tuple[int, int]]:
 
 
 class _Worker:
-    """A daemon thread that runs one task at a time for the caller that
-    holds ``busy``."""
+    """A daemon thread that runs the tasks handed to it, in order."""
 
     def __init__(self):
-        self.busy = threading.Lock()
-        # Two locks used as signals: released by one thread, acquired by
-        # the other.
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._task: Callable[[], None] | None = None
-        self._error: BaseException | None = None
+        # Imported here: importing the package starts and loads no more
+        # than it needs.
+        from queue import SimpleQueue
+
+        self._tasks = SimpleQueue()
         threading.Thread(target=self._serve, name="graphident-mlp",
                          daemon=True).start()
 
     def _serve(self) -> None:
         while True:
-            self._go.acquire()
+            task, done, errors = self._tasks.get()
             try:
-                self._task()
+                task()
             except BaseException as exc:
-                self._error = exc
+                errors.append(exc)
             # The task's arrays must be free again once the caller goes
             # on: ``_pooled`` counts their references.
-            self._task = None
-            self._done.release()
+            del task
+            done.release()
 
     def run(self, mine: Callable[[], None],
             theirs: Callable[[], None]) -> None:
         """``mine()`` here while ``theirs()`` runs on the worker; raises
-        the first error only after both have stopped."""
-        self._task = theirs
-        self._go.release()
+        the first error only after both have stopped.  Each call waits on
+        a lock of its own: if an interrupt ends the wait early, the worker
+        finishes the task, keeping its arrays, and no later call takes its
+        signal."""
+        done, errors = threading.Lock(), []
+        done.acquire()
+        self._tasks.put((theirs, done, errors))
         try:
             mine()
         finally:
-            self._done.acquire()
-            error, self._error = self._error, None
-        if error is not None:
-            raise error
+            done.acquire()
+        if errors:
+            raise errors[0]
 
 
 _worker: _Worker | None = None
@@ -206,21 +210,37 @@ _worker_lock = threading.Lock()
 
 def _in_two(mine: Callable[[], None], theirs: Callable[[], None]) -> None:
     """Run ``mine()`` in this thread and ``theirs()`` on the worker at
-    once, starting the worker on first use.  While another thread has
-    the worker, both run here, one after the other."""
+    once, starting the worker on first use.  Calls from several threads
+    queue their halves on the one worker."""
     global _worker
     with _worker_lock:
         if _worker is None:
             _worker = _Worker()
         worker = _worker
-    if not worker.busy.acquire(blocking=False):
-        mine()
-        theirs()
-        return
-    try:
-        worker.run(mine, theirs)
-    finally:
-        worker.busy.release()
+    worker.run(mine, theirs)
+
+
+@functools.cache
+def _blas_thread_query() -> Callable[[], int]:
+    """OpenBLAS's own thread-count function from the library numpy loaded,
+    or one that returns 0 where there is none to find."""
+    import ctypes
+
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("lib*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        # The names in numpy 2's wheels and in numpy 1's.
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_"):
+            if hasattr(lib, name):
+                return getattr(lib, name)
+    return lambda: 0
+
+
+def _blas_threads() -> int:
+    """The number of threads numpy's BLAS runs a product on, or 0 where
+    that cannot be read."""
+    return _blas_thread_query()()
 
 
 def _wrap(tape: Tape, x) -> Var:
@@ -351,18 +371,19 @@ def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
     shows no fault churn, and pooling would keep its largest arrays
     resident between calls.
 
-    A recorded stack of two or more blocks shares them between the caller
-    and the worker thread (``_in_two``).  Forward, each takes half of the
-    rows, blocked by the same rule, since a row's values do not depend on
-    its block.  Back, the caller takes the first half of the blocks,
-    rounded up, and the worker the rest; the blocks stay those of one
-    thread, since each block's gradient shares depend on its rows.  Every
-    block writes only its rows of the outputs and of the input's adjoint
-    and its own slot of the shares, which are summed in block order after
-    both halves are done: the bits are those of one thread.  The caller
-    allocates both threads' scratch, and an error in either half is raised
-    once both have stopped.  A stack of one block, or on an unrecorded
-    tape, runs in the caller alone."""
+    With BLAS on one thread, a recorded stack of two or more blocks shares
+    them between the caller and the worker thread (``_in_two``).  Forward,
+    each takes half of the rows, blocked by the same rule, since a row's
+    values do not depend on its block.  Back, the caller takes the first
+    half of the blocks, rounded up, and the worker the rest; the blocks
+    stay those of one thread, since each block's gradient shares depend on
+    its rows.  Every block writes only its rows of the outputs and of the
+    input's adjoint and its own slot of the shares, which are summed in
+    block order after both halves are done: the bits are those of one
+    thread.  The caller allocates both threads' scratch, and an error in
+    either half is raised once both have stopped.  A stack of one block,
+    on an unrecorded tape, or with BLAS on more threads runs in the caller
+    alone."""
     hv = h.value
     Ws, bs = [W.value for W, _ in layers], [b.value for _, b in layers]
     width = hv.shape[1] if hv.ndim == 2 else -1
@@ -386,7 +407,7 @@ def mlp(h: Var, layers: Sequence[tuple[Var, Var]], last: str = "tanh") -> Var:
     new = _pooled if record else np.empty
     outs = [new((rows if record else block, W.shape[1]))
             for W in Ws[:-1]] + [new((rows, width))]
-    split = record and len(blocks) > 1
+    split = record and len(blocks) > 1 and _blas_threads() == 1
 
     def forward(begin, end):
         for start, stop in _row_blocks(begin, end, block):

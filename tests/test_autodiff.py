@@ -2,9 +2,11 @@
 plus the backward-pass contracts."""
 
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from collections import OrderedDict
 
@@ -449,16 +451,29 @@ class TestArrayPool:
 
 
 class TestWorker:
-    """A recorded ``mlp`` of two or more blocks shares them between the
-    caller and one worker thread; everything else runs in the caller."""
+    """On one BLAS thread, a recorded ``mlp`` of two or more blocks shares
+    them between the caller and one worker thread; everything else runs in
+    the caller."""
 
     ROWS = 2 * ad._BLOCK_ROWS + 777
     WIDTHS = (2, 5, 10, 5, 1)
+
+    @pytest.fixture(autouse=True)
+    def one_blas_thread(self, monkeypatch):
+        # The tests may run with BLAS on any number of threads.
+        monkeypatch.setattr(ad, "_blas_threads", lambda: 1)
 
     def arrays(self, seed):
         rng = np.random.default_rng(seed)
         return (stack_arrays(self.ROWS, self.WIDTHS, rng),
                 rng.normal(size=(self.ROWS, self.WIDTHS[-1])))
+
+    def assert_matches_the_chain(self, arrays, r):
+        fused = value_and_grads(ad.mlp, arrays, "tanh", r)
+        chain = value_and_grads(chain_mlp, arrays, "tanh", r)
+        for a, c in zip(fused[:2], chain[:2]):
+            assert a.tobytes() == c.tobytes()
+        assert_gradients_near(fused[2:], chain[2:])
 
     def test_recordings_start_one_thread(self, monkeypatch):
         # The worker of an earlier test, if any, stays idle.
@@ -504,12 +519,12 @@ class TestWorker:
             [sys.executable, "-c",
              "import sys, threading, graphident, graphident.training; "
              "print(threading.active_count(), "
-             "'concurrent.futures' in sys.modules)"],
+             "'concurrent.futures' in sys.modules, 'queue' in sys.modules)"],
             capture_output=True, text=True, timeout=60,
             env={**os.environ,
                  "PYTHONPATH": os.path.dirname(os.path.dirname(ad.__file__))})
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "1 False\n"
+        assert done.stdout == "1 False False\n"
 
     def test_plain_encoding_and_identification_start_no_thread(
             self, monkeypatch):
@@ -530,6 +545,36 @@ class TestWorker:
         arrays, r = self.arrays(3)
         with pytest.raises(AssertionError, match="graphident-mlp"):
             value_and_grads(ad.mlp, arrays, "tanh", r)
+
+    def test_blas_threads_keep_a_recording_serial(self, monkeypatch):
+        # With BLAS on two threads, its own threads already share the
+        # cores: the recording runs in the caller, with the same bits.
+        arrays, r = self.arrays(6)
+        shared = value_and_grads(ad.mlp, arrays, "sigmoid", r)
+
+        def refuse(mine, theirs):
+            raise AssertionError("split the blocks")
+
+        monkeypatch.setattr(ad, "_blas_threads", lambda: 2)
+        monkeypatch.setattr(ad, "_in_two", refuse)
+        serial = value_and_grads(ad.mlp, arrays, "sigmoid", r)
+        for a, b in zip(shared, serial):
+            assert a.tobytes() == b.tobytes()
+
+    def test_blas_thread_count_is_read(self):
+        if ad._blas_threads() == 0:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread count to read")
+        for threads in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 "from graphident import autodiff; "
+                 "print(autodiff._blas_threads())"],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                     "PYTHONPATH": os.path.dirname(
+                         os.path.dirname(ad.__file__))})
+            assert done.returncode == 0, done.stderr
+            assert done.stdout == f"{threads}\n"
 
     def test_a_worker_error_reaches_the_caller(self, monkeypatch):
         arrays, r = self.arrays(4)
@@ -558,11 +603,40 @@ class TestWorker:
         assert failed == ["graphident-mlp"]
 
         monkeypatch.setattr(ad, "_product", product)
-        fused = value_and_grads(ad.mlp, arrays, "tanh", r)
-        chain = value_and_grads(chain_mlp, arrays, "tanh", r)
-        for a, c in zip(fused[:2], chain[:2]):
-            assert np.array_equal(a, c)
-        assert_gradients_near(fused[2:], chain[2:])
+        self.assert_matches_the_chain(arrays, r)
+
+    def test_an_interrupted_wait_leaves_the_worker_in_step(self, monkeypatch):
+        # An interrupt while the caller waits for the worker's half: the
+        # worker is still on that half when the next recording starts.
+        class Interrupt(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupt
+
+        arrays, r = self.arrays(7)
+        product, caller, slowed = ad._product, threading.current_thread(), []
+
+        def slow_on_the_worker(x, W, out):
+            if threading.current_thread() is not caller and not slowed:
+                slowed.append(True)
+                # The caller's own half takes milliseconds; by now it waits.
+                time.sleep(0.2)
+                signal.pthread_kill(caller.ident, signal.SIGUSR1)
+                time.sleep(0.2)
+            product(x, W, out)
+
+        tape = ad.Tape()
+        leaves = [tape.leaf(a) for a in arrays]
+        monkeypatch.setattr(ad, "_product", slow_on_the_worker)
+        previous = signal.signal(signal.SIGUSR1, interrupt)
+        try:
+            with pytest.raises(Interrupt):
+                ad.mlp(leaves[0], list(zip(leaves[1::2], leaves[2::2])))
+        finally:
+            signal.signal(signal.SIGUSR1, previous)
+        self.assert_matches_the_chain(arrays, r)
+        assert slowed == [True]
 
 
 class TestSubgradientConventions:

@@ -22,7 +22,8 @@ median minor page faults per timed step, from the ``ru_minflt`` deltas
 around that side's steps.  Both sides share one process, its heap and
 its worker threads: pages one side frees may serve the other, both call
 the one OpenBLAS and its threads, and each side's ``ad.mlp`` worker
-thread, where it has one, lives on while the other side steps.
+thread, where it has one (it runs only when BLAS runs on one thread),
+lives on while the other side steps.
 ``tools/step_faults.py`` counts one checkout's faults and CPU time alone.
 """
 
