@@ -47,6 +47,7 @@ thread too.
 from __future__ import annotations
 
 import functools
+import os
 import sys
 import threading
 from collections import OrderedDict
@@ -100,11 +101,6 @@ class Tape:
     def leaf(self, value) -> "Var":
         """Register an input (parameter or constant) on the tape."""
         return self._push(value)
-
-    def truncate(self, length: int) -> None:
-        """Drop every node after the first ``length``; Vars recorded after
-        them must not be used again."""
-        del self.nodes[length:]
 
 
 class Var:
@@ -206,6 +202,17 @@ class _Worker:
 
 _worker: _Worker | None = None
 _worker_lock = threading.Lock()
+
+
+def _after_fork_in_child() -> None:
+    """A forked child has none of its parent's threads, so no worker, and a
+    lock that another thread held at the fork stays held: start afresh."""
+    global _worker, _worker_lock, _pool_lock
+    _worker, _worker_lock, _pool_lock = None, threading.Lock(), threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _in_two(mine: Callable[[], None], theirs: Callable[[], None]) -> None:

@@ -22,9 +22,8 @@ import typing
 from pathlib import Path
 
 from . import dataio, evaluate, training
-from .datagen import (FlockingSpec, FormationSpec, SampleRecord,
-                      generate_flocking_windows, sample_er_graph,
-                      sample_smooth_signals)
+from .datagen import (FlockingSpec, FormationSpec, generate_flocking_windows,
+                      generate_formation_windows)
 from .encoder import flocking_params, formation_params
 from .errors import (ConfigError, DimensionError, GraphIdentError,
                      InvariantError, NumericalFailure, OracleFailure,
@@ -134,12 +133,7 @@ def cmd_gen_formation(args) -> int:
         raise ConfigError("config field 'windows' must be at least 1",
                           field="windows")
 
-    W = sample_er_graph(spec.n, spec.p, spec.seed)
-    records = []
-    for k in range(windows):
-        X = sample_smooth_signals(W, spec.sigma, spec.d, spec.seed + 1 + k)
-        records.append(SampleRecord(X=X, W=W, meta=dict(spec.to_dict(), window=k)))
-
+    records = generate_formation_windows(spec, windows)
     out = _ensure_out(args.out)
     path = out / "dataset.gids"
     dataio.write_dataset(records, path, spec=spec.to_dict())
@@ -148,7 +142,7 @@ def cmd_gen_formation(args) -> int:
         ("kind", "formation"),
         ("n", spec.n), ("p", spec.p), ("sigma", spec.sigma), ("d", spec.d),
         ("windows", windows),
-        ("edge_density", f"{edge_density(W):.6f}"),
+        ("edge_density", f"{edge_density(records[0].W):.6f}"),
     ])
     return EXIT_OK
 

@@ -141,11 +141,21 @@ def sample_smooth_signals(W: np.ndarray, sigma: float, d: int,
     return np.einsum("mn,cdn->mcd", root, draws).reshape(n, 2, d)
 
 
+def generate_formation_windows(spec: FormationSpec,
+                               windows: int) -> list[SampleRecord]:
+    """One graph from the spec seed plus ``windows`` windows of smooth
+    signals on it, window k from seed ``spec.seed + 1 + k``."""
+    W = sample_er_graph(spec.n, spec.p, spec.seed)
+    root = smooth_signal_root(W, spec.sigma)
+    return [SampleRecord(X=sample_smooth_signals(W, spec.sigma, spec.d,
+                                                 spec.seed + 1 + k, root),
+                         W=W, meta=dict(spec.to_dict(), window=k))
+            for k in range(windows)]
+
+
 def generate_formation_sample(spec: FormationSpec) -> SampleRecord:
     """One graph plus one window of smooth signals, both from the spec seed."""
-    W = sample_er_graph(spec.n, spec.p, spec.seed)
-    X = sample_smooth_signals(W, spec.sigma, spec.d, spec.seed + 1)
-    return SampleRecord(X=X, W=W, meta=dict(spec.to_dict(), window=0))
+    return generate_formation_windows(spec, 1)[0]
 
 
 # --- flocking controller ----------------------------------------------------

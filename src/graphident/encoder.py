@@ -55,13 +55,13 @@ rows of every layer.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DimensionError, SchemaError
+from .errors import DimensionError
 
 FORMATION_FC1 = (2, 5, 10, 5, 1)
 FORMATION_FC2 = (1, 2, 1)
@@ -78,6 +78,8 @@ _ZERO_DISTANCE = 1e-9
 _CLIP_KNEE = 0.1
 
 Layer = tuple[np.ndarray, np.ndarray]
+# The stacks of ``EncoderParams`` in the canonical order.
+STACKS = ("fc1", "fc2", "head_theta", "head_delta")
 
 
 @dataclass
@@ -106,8 +108,7 @@ class EncoderParams:
         return _stack_widths(self.head_theta)
 
     def num_parameters(self) -> int:
-        return sum(w.size + b.size for w, b in
-                   self.fc1 + self.fc2 + self.head_theta + self.head_delta)
+        return sum(a.size for a in params_to_arrays(self))
 
 
 @dataclass(frozen=True)
@@ -181,36 +182,29 @@ def flocking_params(seed: int = 0) -> EncoderParams:
 
 
 def params_to_arrays(params: EncoderParams) -> list[np.ndarray]:
-    """Flatten to the canonical order: fc1, fc2, head_theta, head_delta, each
-    layer contributing weight then bias."""
-    out = []
-    for stack in (params.fc1, params.fc2, params.head_theta, params.head_delta):
-        for W, b in stack:
-            out.append(W)
-            out.append(b)
-    return out
+    """Flatten to the canonical order: the stacks of ``STACKS`` in turn,
+    each layer contributing weight then bias."""
+    return [a for name in STACKS for layer in getattr(params, name)
+            for a in layer]
+
+
+def _regroup(flat: list, template: EncoderParams) -> dict[str, list]:
+    """``flat``, in ``params_to_arrays`` order, cut into (weight, bias)
+    pairs by stack name, as many per stack as ``template`` has layers."""
+    pairs = zip(flat[::2], flat[1::2])
+    return {name: [next(pairs) for _ in getattr(template, name)]
+            for name in STACKS}
 
 
 def arrays_to_params(arrays: list[np.ndarray],
                      template: EncoderParams) -> EncoderParams:
     """Rebuild an EncoderParams from the canonical flat array list."""
-    it = iter(arrays)
-
-    def take(stack):
-        return [(next(it).reshape(W.shape), next(it).reshape(b.shape))
-                for W, b in stack]
-
-    rebuilt = EncoderParams(
-        fc1=take(template.fc1), fc2=take(template.fc2),
-        head_theta=take(template.head_theta),
-        head_delta=take(template.head_delta),
-        scale=template.scale, seed=template.seed,
-        scale_free=template.scale_free)
-    try:
-        next(it)
-    except StopIteration:
-        return rebuilt
-    raise DimensionError("too many arrays for this encoder layout")
+    like = params_to_arrays(template)
+    if len(arrays) != len(like):
+        raise DimensionError(f"{len(arrays)} arrays for an encoder layout "
+                             f"of {len(like)}")
+    return dataclasses.replace(template, **_regroup(
+        [a.reshape(t.shape) for a, t in zip(arrays, like)], template))
 
 
 def _softplus(x: ad.Var) -> ad.Var:
@@ -232,18 +226,7 @@ def lift_params(tape: ad.Tape, params: EncoderParams):
     """Register every parameter array as a leaf on the tape; returns the same
     stack structure holding Vars, plus the flat leaf list in canonical order."""
     flat = [tape.leaf(a) for a in params_to_arrays(params)]
-    it = iter(flat)
-
-    def take(stack):
-        return [(next(it), next(it)) for _ in stack]
-
-    stacks = {
-        "fc1": take(params.fc1),
-        "fc2": take(params.fc2),
-        "head_theta": take(params.head_theta),
-        "head_delta": take(params.head_delta),
-    }
-    return stacks, flat
+    return _regroup(flat, params), flat
 
 
 def encode_on_tape(tape: ad.Tape, X: np.ndarray, stacks: dict,
@@ -323,49 +306,3 @@ def encode(X: np.ndarray, params: EncoderParams) -> EncoderOutput:
                          alpha=float(alpha.value),
                          beta=float(beta.value),
                          theta=float(theta.value))
-
-
-def params_to_doc(params: EncoderParams) -> dict:
-    """The encoder block of a checkpoint document, which training
-    checkpoints embed; floats round-trip bit-exactly through repr-based
-    JSON serialization."""
-    return {"fc1_widths": list(params.fc1_widths),
-            "fc2_widths": list(params.fc2_widths),
-            "head_widths": list(params.head_widths), "scale": params.scale,
-            "seed": params.seed, "scale_free": params.scale_free,
-            "arrays": [a.reshape(-1).tolist() for a in params_to_arrays(params)]}
-
-
-def arrays_from_doc(doc: dict, key: str,
-                    template: EncoderParams) -> list[np.ndarray]:
-    """The flat arrays under ``key``, shaped like ``template``'s."""
-    flats = [np.asarray(a, dtype=np.float64) for a in doc[key]]
-    shapes = [a.shape for a in params_to_arrays(template)]
-    if len(flats) != len(shapes):
-        raise SchemaError(f"checkpoint {key} does not match layout")
-    return [f.reshape(s) for f, s in zip(flats, shapes)]
-
-
-def params_from_doc(doc: dict) -> EncoderParams:
-    template = init_params(tuple(doc["fc1_widths"]), tuple(doc["fc2_widths"]),
-                           tuple(doc["head_widths"]), doc["scale"],
-                           seed=doc["seed"], scale_free=doc["scale_free"])
-    return arrays_to_params(arrays_from_doc(doc, "arrays", template), template)
-
-
-def write_checkpoint(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-
-
-def read_checkpoint(path, fmt: str, version: int) -> dict:
-    """A checkpoint document, after checking its format tag and version."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != fmt:
-        raise SchemaError(f"not a {fmt} checkpoint: {path}")
-    if doc.get("version") != version:
-        raise SchemaError(
-            f"unsupported checkpoint version {doc.get('version')}")
-    return doc

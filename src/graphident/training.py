@@ -1,4 +1,5 @@
-"""Differentiable unrolled solve, training loss, Adam, and the training loop.
+"""Differentiable unrolled solve, training loss, Adam, the training loop and
+its checkpoint document.
 
 Each training step records the encoder forward pass once, on a fresh tape.
 An untaped presolve advances the solver's dual state from that recording's
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import json
 import logging
 import math
 import time
@@ -29,10 +31,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .datagen import SampleRecord, sample_smooth_signals, smooth_signal_root
-from .encoder import (EncoderParams, arrays_from_doc, arrays_to_params,
-                      encode_on_tape, lift_params, params_from_doc,
-                      params_to_arrays, params_to_doc, read_checkpoint,
-                      write_checkpoint)
+from .encoder import (EncoderParams, arrays_to_params, encode_on_tape,
+                      init_params, lift_params, params_to_arrays)
 from .errors import (DimensionError, InvariantError, NumericalFailure,
                      SchemaError, TrainStepError, require_finite)
 from .graphcore import (SYM_ATOL, DegreeOperator, devectorize,
@@ -162,14 +162,12 @@ def loss_on_tape(w: ad.Var, w_hat: np.ndarray, S: np.ndarray | None = None,
 
 @dataclass
 class EncoderRecording:
-    """The encoder forward pass recorded on ``tape``; ``mark`` is the tape
-    length right after it, where every unroll starts."""
+    """The encoder forward pass recorded on ``tape``."""
     tape: ad.Tape
     param_leaves: list[ad.Var]
     y: ad.Var
     alpha: ad.Var
     beta: ad.Var
-    mark: int
 
 
 @dataclass
@@ -189,7 +187,7 @@ def record_encoder(X: np.ndarray, params: EncoderParams) -> EncoderRecording:
     stacks, leaves = lift_params(tape, params)
     _, _, y, alpha, beta, _ = encode_on_tape(tape, X, stacks, params)
     return EncoderRecording(tape=tape, param_leaves=leaves, y=y, alpha=alpha,
-                            beta=beta, mark=len(tape.nodes))
+                            beta=beta)
 
 
 def unroll(rec: EncoderRecording, op: DegreeOperator, unroll_steps: int,
@@ -446,9 +444,8 @@ def train(records: list[SampleRecord], cfg: TrainConfig,
                 except TrainStepError as exc:
                     log.warning("step %d attempt %d failed: %s",
                                 step, attempt, exc)
-                    # The retry reuses the encoder recording; drop the
-                    # failed attempt's nodes after it.
-                    rec.tape.truncate(rec.mark)
+                    # The retry reuses the encoder recording: a failed
+                    # attempt records no node.
                     state.dual = _fresh_dual(n, cfg.seed, step, 4 + attempt)
             if result is None:
                 raise TrainStepError(
@@ -496,20 +493,45 @@ def train(records: list[SampleRecord], cfg: TrainConfig,
 
 
 def save_train_state(state: TrainState, cfg: TrainConfig, path) -> None:
-    """Encoder checkpoint plus Adam buffers and the step counter."""
-    write_checkpoint({
-        "format": _CHECKPOINT_FORMAT, "version": _CHECKPOINT_VERSION,
-        **params_to_doc(state.params),
-        "adam_m": [a.reshape(-1).tolist() for a in state.adam_m],
-        "adam_v": [a.reshape(-1).tolist() for a in state.adam_v],
-        "step": state.step, "train_config": dataclasses.asdict(cfg)}, path)
+    """Write the checkpoint document: the format tag and version, the
+    encoder's widths and settings, its arrays and Adam's two moments in
+    ``params_to_arrays`` order, the step counter and ``cfg``.  Floats
+    round-trip bit-exactly through repr-based JSON serialization."""
+    params = state.params
+    doc = {"format": _CHECKPOINT_FORMAT, "version": _CHECKPOINT_VERSION,
+           "fc1_widths": list(params.fc1_widths),
+           "fc2_widths": list(params.fc2_widths),
+           "head_widths": list(params.head_widths), "scale": params.scale,
+           "seed": params.seed, "scale_free": params.scale_free}
+    for key, arrays in (("arrays", params_to_arrays(params)),
+                        ("adam_m", state.adam_m), ("adam_v", state.adam_v)):
+        doc[key] = [a.reshape(-1).tolist() for a in arrays]
+    doc.update(step=state.step, train_config=dataclasses.asdict(cfg))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
 
 
 def load_train_state(path) -> tuple[TrainState, dict]:
-    doc = read_checkpoint(path, _CHECKPOINT_FORMAT, _CHECKPOINT_VERSION)
-    params = params_from_doc(doc)
-    state = TrainState(params, _flat(params_to_arrays(params)),
-                       _flat(arrays_from_doc(doc, "adam_m", params)),
-                       _flat(arrays_from_doc(doc, "adam_v", params)),
-                       step=int(doc["step"]))
-    return state, doc.get("train_config", {})
+    """The state in a checkpoint that ``save_train_state`` wrote, after
+    checking its format tag, version and layout, and its train config."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if doc.get("format") != _CHECKPOINT_FORMAT:
+        raise SchemaError(f"not a {_CHECKPOINT_FORMAT} checkpoint: {path}")
+    if doc.get("version") != _CHECKPOINT_VERSION:
+        raise SchemaError(
+            f"unsupported checkpoint version {doc.get('version')}")
+    layout = init_params(tuple(doc["fc1_widths"]), tuple(doc["fc2_widths"]),
+                         tuple(doc["head_widths"]), doc["scale"],
+                         seed=doc["seed"], scale_free=doc["scale_free"])
+    sizes = [a.size for a in params_to_arrays(layout)]
+    flats = []
+    for key in ("arrays", "adam_m", "adam_v"):
+        arrays = [np.asarray(a, dtype=np.float64).reshape(-1)
+                  for a in doc[key]]
+        if [a.size for a in arrays] != sizes:
+            raise SchemaError(f"checkpoint {key} does not match layout")
+        flats.append(np.concatenate(arrays))
+    return (TrainState(layout, *flats, step=int(doc["step"])),
+            doc.get("train_config", {}))

@@ -576,6 +576,38 @@ class TestWorker:
             assert done.returncode == 0, done.stderr
             assert done.stdout == f"{threads}\n"
 
+    def test_a_forked_child_records_with_its_own_worker(self):
+        # The parent's worker has run before the fork; the child has no
+        # thread to run its half.  The child ends itself if it hangs.
+        script = (
+            "import os, signal, numpy as np\n"
+            "from graphident import autodiff as ad\n"
+            "ad._blas_threads = lambda: 1\n"
+            "rng = np.random.default_rng(8)\n"
+            "arrays = [rng.normal(size=(2 * ad._BLOCK_ROWS + 777, 2)),\n"
+            "          rng.normal(size=(2, 3)), rng.normal(size=3)]\n"
+            "def record():\n"
+            "    tape = ad.Tape()\n"
+            "    x, W, b = [tape.leaf(a) for a in arrays]\n"
+            "    out = ad.mlp(x, [(W, b)])\n"
+            "    g = ad.backward(tape, ad.asum(ad.mul(out, out)))[x]\n"
+            "    return out.value.tobytes() + g.tobytes()\n"
+            "parent = record()\n"
+            "read, write = os.pipe()\n"
+            "if os.fork() == 0:\n"
+            "    signal.alarm(30)\n"
+            "    os.write(write, b'same' if record() == parent else b'diff')\n"
+            "    os._exit(0)\n"
+            "os.close(write)\n"
+            "print(os.read(read, 4).decode(), os.wait()[1])\n")
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                 "PYTHONPATH": os.path.dirname(os.path.dirname(ad.__file__))})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "same 0\n"
+
     def test_a_worker_error_reaches_the_caller(self, monkeypatch):
         arrays, r = self.arrays(4)
         product, caller, failed = ad._product, threading.current_thread(), []

@@ -133,5 +133,6 @@ class TestCheckpoint:
     def test_arrays_to_params_length_check(self):
         params = enc.formation_params(seed=10)
         arrays = enc.params_to_arrays(params)
-        with pytest.raises(DimensionError):
-            enc.arrays_to_params(arrays + [np.zeros(1)], params)
+        for wrong in (arrays + [np.zeros(1)], arrays[:-1]):
+            with pytest.raises(DimensionError):
+                enc.arrays_to_params(wrong, params)

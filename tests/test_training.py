@@ -461,6 +461,7 @@ class TestUnrollNode:
         X, _, params = unroll_case("formation")
         n = X.shape[0]
         rec = tr.record_encoder(X, params)
+        recorded = len(rec.tape.nodes)
         calls = []
 
         def failing_third(*args):
@@ -477,7 +478,7 @@ class TestUnrollNode:
         assert info.value.diagnostics == {
             "unroll_step": 2, "alpha": float(rec.alpha.value),
             "beta": float(rec.beta.value)}
-        assert len(rec.tape.nodes) == rec.mark
+        assert len(rec.tape.nodes) == recorded
 
     @pytest.mark.parametrize("bad_step", [0, 3, 9])
     def test_nan_multiplier_names_its_first_step(self, monkeypatch,
@@ -485,6 +486,7 @@ class TestUnrollNode:
         X, _, params = unroll_case("formation")
         n = X.shape[0]
         rec = tr.record_encoder(X, params)
+        recorded = len(rec.tape.nodes)
         calls = []
 
         def nan_multiplier_at(*args):
@@ -500,7 +502,7 @@ class TestUnrollNode:
         with pytest.raises(TrainStepError) as info:
             tr.unroll(rec, DegreeOperator(n), 10, init_dual_state(n, 0))
         assert info.value.diagnostics["unroll_step"] == bad_step
-        assert len(rec.tape.nodes) == rec.mark
+        assert len(rec.tape.nodes) == recorded
 
     def test_needs_one_step(self):
         X, _, params = unroll_case("formation")
@@ -518,8 +520,7 @@ class TestUnrollNode:
         def build(leaves):
             y, alpha, beta = leaves
             rec = tr.EncoderRecording(tape=y.tape, param_leaves=[], y=y,
-                                      alpha=alpha, beta=beta,
-                                      mark=len(y.tape.nodes))
+                                      alpha=alpha, beta=beta)
             return ad.asum(ad.mul(tr.unroll(rec, op, steps, dual).w, weights))
 
         report = ad.gradient_check(
@@ -711,8 +712,7 @@ class TestPresolve:
             half_vectorize(distance_matrix(X[:, 0:1, :])), np.array(0.2),
             np.array(1e-4)))
         rec = tr.EncoderRecording(tape=tape, param_leaves=[], y=y,
-                                  alpha=alpha, beta=beta,
-                                  mark=len(tape.nodes))
+                                  alpha=alpha, beta=beta)
         cfg = tr.TrainConfig()
         dual = tr._presolve(rec, DegreeOperator(200), init_dual_state(200, 0),
                             cfg)
@@ -991,6 +991,27 @@ class TestOneEncoderPassPerStep:
                         params_to_arrays(clean.params)):
             assert np.array_equal(a, b)
 
+    def test_a_step_whose_every_attempt_fails_is_named(self, monkeypatch,
+                                                       caplog):
+        # Step 0 succeeds; every attempt at step 1 fails.
+        record = small_record(n=6, d=12, seed=4)
+        cfg = tr.TrainConfig(total_steps=3, unroll_steps=3, seed=6)
+        presolve, calls = tr._presolve, []
+
+        def failing_after_one(*args):
+            calls.append(1)
+            if len(calls) > 1:
+                raise TrainStepError("non-finite dual state during presolve")
+            return presolve(*args)
+
+        monkeypatch.setattr(tr, "_presolve", failing_after_one)
+        with pytest.raises(TrainStepError,
+                           match="step 1 failed after 3 retries") as info:
+            tr.train([record], cfg, params=formation_params(seed=2))
+        assert info.value.step == 1
+        assert len(calls) == 1 + tr.RETRY_BUDGET + 1
+        assert caplog.text.count("step 1 attempt") == tr.RETRY_BUDGET + 1
+
     def test_rejected_step_restarts_the_dual_from_stream_nine(
             self, monkeypatch):
         record = small_record(n=6, d=12, seed=4)
@@ -1020,6 +1041,29 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
         for a, b in zip(state.adam_m, loaded.adam_m):
             assert np.array_equal(a, b)
+
+    def test_document_keys_in_order(self, tmp_path):
+        state = tr.init_train_state(flocking_params(seed=4))
+        path = tmp_path / "ck.json"
+        tr.save_train_state(state, tr.TrainConfig(), path)
+        doc = json.loads(path.read_text())
+        assert list(doc) == [
+            "format", "version", "fc1_widths", "fc2_widths", "head_widths",
+            "scale", "seed", "scale_free", "arrays", "adam_m", "adam_v",
+            "step", "train_config"]
+        assert (doc["fc1_widths"], doc["fc2_widths"]) == ([2, 4, 4, 1], [])
+        assert path.read_text().endswith("}\n")
+
+    @pytest.mark.parametrize("key", ["arrays", "adam_m", "adam_v"])
+    def test_rejects_arrays_of_another_layout(self, tmp_path, key):
+        state = tr.init_train_state(formation_params(seed=4))
+        path = tmp_path / "ck.json"
+        tr.save_train_state(state, tr.TrainConfig(), path)
+        doc = json.loads(path.read_text())
+        doc[key][2].pop()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=key):
+            tr.load_train_state(path)
 
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -16,6 +16,8 @@ alike on these inputs:
 - ``formation-params`` and ``flocking-params``: the parameters alone, so
   a change that moves only the last bits of the losses can show that
   training itself is unchanged.
+- ``checkpoint``: the bytes that ``save_train_state`` writes for the state
+  and config of the formation run.
 - ``sweep``: the summary and detail rows and the kept matrices of a small
   ``formation_sweep`` (n = 10, 20, 30, two repetitions, d=2000), once with
   formation params and once with the fixed (0.2, 1e-4) baseline, and the
@@ -38,10 +40,11 @@ import argparse
 import hashlib
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 PARTS = ("encode", "solve", "formation", "flocking", "formation-params",
-         "flocking-params", "sweep")
+         "flocking-params", "checkpoint", "sweep")
 
 
 def digests() -> dict:
@@ -94,6 +97,11 @@ def digests() -> dict:
         arrays = params_to_arrays(state.params)
         add(part, [row["loss"] for row in metrics], *arrays)
         add(f"{part}-params", *arrays)
+        if part == "formation":
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "checkpoint.json"
+                training.save_train_state(state, cfg, path)
+                hashers["checkpoint"].update(path.read_bytes())
 
     grid = evaluate.FormationGrid(n_values=(10, 20, 30), repetitions=2)
     specs = [FlockingSpec(n=6, duration=1.2)]
